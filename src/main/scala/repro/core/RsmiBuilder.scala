@@ -1,5 +1,7 @@
 package repro.core
 
+import java.util.concurrent.{ConcurrentLinkedQueue, ForkJoinPool, ForkJoinTask, ForkJoinWorkerThread, RecursiveTask}
+import java.util.concurrent.atomic.AtomicReference
 import scala.collection.mutable
 import repro.spatial._
 
@@ -222,25 +224,84 @@ object RsmiBuilder {
 
   private val MaxDepth = 24
 
-  /** Recursive node construction; allocates blocks depth-first so the
-    * global block order follows the recursive curve order (§3.2).
+  private def isLeaf(pts: Array[Point], cfg: RsmiConfig, depth: Int): Boolean =
+    pts.length <= cfg.N || depth >= MaxDepth
+
+  /** A sub-tree whose models are trained but whose blocks are not yet
+    * numbered: the plan pass builds these in parallel, the pack pass
+    * turns them into nodes on one thread.
     */
-  def buildNode(pts: Array[Point], cfg: RsmiConfig, store: BlockStore,
-                seed: Long, depth: Int): RsmiNode = {
-    if (pts.length <= cfg.N || depth >= MaxDepth) {
-      materializeLeaf(trainLeaf(pts, cfg, seed), store, cfg)
-    } else {
-      val (model, s, groups, mbr) = partition(pts, cfg, seed)
-      val children = new Array[RsmiNode](s * s)
-      var c = 0
-      while (c < groups.length) {
-        if (groups(c) != null && groups(c).nonEmpty)
-          children(c) = buildNode(groups(c), cfg, store, seed * 31 + c + 1, depth + 1)
-        c += 1
-      }
-      new InternalNode(model, s, children, mbr)
+  private sealed trait Planned
+  private final case class PlannedLeaf(lr: LeafResult) extends Planned
+  private final case class PlannedInternal(
+      model: Regressor, dim: Int, children: Array[Planned], mbr: Rect) extends Planned
+
+  /** Plans one sub-tree and forks a task per non-empty child group. The
+    * first failure is kept in `failure` and rethrown unchanged by
+    * [[planInPool]] (a task's own exception would reach the caller as a
+    * copy); later tasks then stop early.
+    */
+  private final class PlanTask(pts: Array[Point], cfg: RsmiConfig, seed: Long, depth: Int,
+                               failure: AtomicReference[Throwable]) extends RecursiveTask[Planned] {
+    def compute(): Planned =
+      if (failure.get != null) null
+      else try {
+        if (isLeaf(pts, cfg, depth)) PlannedLeaf(trainLeaf(pts, cfg, seed))
+        else {
+          val (model, s, groups, mbr) = partition(pts, cfg, seed)
+          val tasks = Array.tabulate(groups.length) { c =>
+            if (groups(c) != null && groups(c).nonEmpty)
+              new PlanTask(groups(c), cfg, seed * 31 + c + 1, depth + 1, failure)
+            else null
+          }
+          ForkJoinTask.invokeAll(tasks.filter(_ != null): _*)
+          PlannedInternal(model, s, tasks.map(t => if (t == null) null else t.join()), mbr)
+        }
+      } catch { case t: Throwable => failure.compareAndSet(null, t); null }
+  }
+
+  /** Runs the plan pass on a pool of its own, sized to the machine. The
+    * pool is shut down and its threads joined before this returns, so
+    * no build thread outlives the build.
+    */
+  private def planInPool(pts: Array[Point], cfg: RsmiConfig, seed: Long, depth: Int): Planned = {
+    val threads = new ConcurrentLinkedQueue[Thread]
+    val pool = new ForkJoinPool(Runtime.getRuntime.availableProcessors, { (p: ForkJoinPool) =>
+      val t = new ForkJoinWorkerThread(p) {}
+      t.setName("rsmi-build-" + t.getName)
+      threads.add(t)
+      t
+    }, null, false)
+    val failure = new AtomicReference[Throwable]
+    try {
+      val planned = pool.invoke(new PlanTask(pts, cfg, seed, depth, failure))
+      if (failure.get != null) throw failure.get
+      planned
+    } finally {
+      pool.shutdownNow()
+      threads.forEach(_.join())
     }
   }
+
+  /** Numbers blocks depth-first in child-slot order, so the global block
+    * order follows the recursive curve order (§3.2) whatever order the
+    * plan pass trained the sub-trees in.
+    */
+  private def pack(p: Planned, store: BlockStore, cfg: RsmiConfig): RsmiNode = p match {
+    case PlannedLeaf(lr) => materializeLeaf(lr, store, cfg)
+    case PlannedInternal(model, dim, children, mbr) =>
+      new InternalNode(model, dim, children.map(c => if (c == null) null else pack(c, store, cfg)), mbr)
+  }
+
+  /** Recursive node construction: sub-trees are trained in parallel,
+    * then packed on the calling thread, so the index (block ids, leaf
+    * ranges, error bounds) does not depend on the thread count. A
+    * single leaf trains on the calling thread and starts no pool.
+    */
+  def buildNode(pts: Array[Point], cfg: RsmiConfig, store: BlockStore,
+                seed: Long, depth: Int): RsmiNode =
+    if (isLeaf(pts, cfg, depth)) materializeLeaf(trainLeaf(pts, cfg, seed), store, cfg)
+    else pack(planInPool(pts, cfg, seed, depth), store, cfg)
 
   /** Build an RSMI over `points` (driver-side reference builder). */
   def build(points: Array[Point], cfg: RsmiConfig = RsmiConfig()): Rsmi = {

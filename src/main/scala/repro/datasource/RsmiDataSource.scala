@@ -1,5 +1,6 @@
 package repro.datasource
 
+import java.io.EOFException
 import java.nio.ByteBuffer
 import java.nio.channels.FileChannel
 import java.nio.file.{Paths, StandardOpenOption}
@@ -19,9 +20,9 @@ import repro.spatial.Rect
   * for new index/file formats.
   *
   * Filter pushdown: conjunctions of range predicates on `x` and `y`
-  * are compiled into a window rectangle; the learned index tree prunes
-  * the block set, and only the surviving byte ranges of `blocks.bin`
-  * are read. All filters are still re-evaluated by Spark after the scan
+  * are compiled into a window rectangle; an exact walk of the index
+  * tree's MBRs ([[RsmiFormat.selectBlocks]]) prunes the block set, and
+  * only the surviving byte ranges of `blocks.bin` are read. All filters are still re-evaluated by Spark after the scan
   * (we report none as fully handled), so pruning can never change
   * results — only skip I/O.
   */
@@ -130,7 +131,8 @@ class RsmiReaderFactory(path: String) extends PartitionReaderFactory {
 
 class RsmiPartitionReader(path: String, ranges: Array[(Long, Int)])
     extends PartitionReader[InternalRow] {
-  private val ch = FileChannel.open(Paths.get(path, "blocks.bin"), StandardOpenOption.READ)
+  private val file = Paths.get(path, "blocks.bin")
+  private val ch = FileChannel.open(file, StandardOpenOption.READ)
   private var rangeIdx = 0
   private var buf: ByteBuffer = _
   private var remaining = 0
@@ -144,13 +146,26 @@ class RsmiPartitionReader(path: String, ranges: Array[(Long, Int)])
       val (off, cnt) = ranges(rangeIdx)
       rangeIdx += 1
       buf = ByteBuffer.allocate(cnt * RsmiFormat.RecordBytes)
-      ch.read(buf, off)
+      readFully(off)
       buf.flip()
       remaining = cnt
     }
     curId = buf.getLong(); curX = buf.getDouble(); curY = buf.getDouble()
     remaining -= 1
     true
+  }
+
+  /** Fills `buf` from `off`: one `read` may return fewer bytes than
+    * asked, and end-of-file before the buffer is full means the file was
+    * truncated.
+    */
+  private def readFully(off: Long): Unit = {
+    val want = buf.remaining
+    while (buf.hasRemaining) {
+      if (ch.read(buf, off + want - buf.remaining) < 0)
+        throw new EOFException(s"$file: end of file at offset ${off + want - buf.remaining}, " +
+          s"expected $want bytes from offset $off")
+    }
   }
 
   override def get(): InternalRow = InternalRow(curId, curX, curY)

@@ -15,8 +15,8 @@ import repro.spatial.Rect
   *    model tree plus one [[RsmiFormat.BlockDesc]] per block (file
   *    offset, record count, chain links, MBR).
   *
-  * A scan selects blocks through the model tree (window pushdown) and
-  * reads only those byte ranges — the learned index acting as the
+  * A scan selects blocks through the MBRs of the model tree (window
+  * pushdown) and reads only those byte ranges — the learned index acting as the
   * file format's zone map.
   */
 object RsmiFormat {

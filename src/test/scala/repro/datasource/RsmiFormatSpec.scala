@@ -75,4 +75,21 @@ class RsmiFormatSpec extends AnyFunSuite {
     val size = Files.size(java.nio.file.Paths.get(dir, "blocks.bin"))
     assert(size === 24L * pts.length)
   }
+
+  test("reading a truncated blocks.bin names the file, offset and byte count") {
+    val (_, _, dir) = persisted()
+    val meta = RsmiFormat.readMeta(dir)
+    val file = java.nio.file.Paths.get(dir, "blocks.bin")
+    val cut = Files.size(file) / 2
+    val ch = java.nio.channels.FileChannel.open(file, java.nio.file.StandardOpenOption.WRITE)
+    try ch.truncate(cut) finally ch.close()
+    // The first range that runs past the cut.
+    val ranges = RsmiFormat.allBlocks(meta).map(d => (d.offset, d.count)).sortBy(_._1).toArray
+    val (off, cnt) = ranges.find { case (o, c) => o + c * RsmiFormat.RecordBytes.toLong > cut }.get
+    val reader = new RsmiPartitionReader(dir, ranges)
+    val e = try intercept[java.io.EOFException](while (reader.next()) {}) finally reader.close()
+    assert(e.getMessage.contains(file.toString))
+    assert(e.getMessage.contains(s"offset $cut"))
+    assert(e.getMessage.contains(s"expected ${cnt * RsmiFormat.RecordBytes} bytes from offset $off"))
+  }
 }
