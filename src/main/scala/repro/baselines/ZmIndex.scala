@@ -1,6 +1,5 @@
 package repro.baselines
 
-import scala.collection.mutable
 import repro.harness.SpatialIndexApi
 import repro.spatial._
 import repro.core.{ExpandingKnn, Pmf}
@@ -32,7 +31,7 @@ final class ZmIndex private (
     level2: Array[Mlp],
     val errL: Array[Int],
     val errA: Array[Int],
-    store: BlockStore,
+    private[repro] val store: BlockStore,
     minZ: Array[Long],
     pmfX: Pmf, pmfY: Pmf,
     nPoints: Long) extends SpatialIndexApi {
@@ -81,33 +80,24 @@ final class ZmIndex private (
     lo
   }
 
-  /** Scan block `g` and its inserted overflow chain for exact coords. */
-  private def findInGroup(g: Int, x: Double, y: Double): Option[Point] = {
-    val ord = store.peek(g).ord
-    var cur = g
-    while (cur >= 0) {
-      val meta = store.peek(cur)
-      if (cur != g && !(meta.inserted && meta.ord == ord)) return None
-      val blk = store.read(cur)
-      val i = blk.indexOf(x, y)
-      if (i >= 0) return Some(blk.point(i))
-      cur = meta.next
-    }
-    None
+  /** Original block whose group holds Z-value `z`: [[locate]] over the
+    * leaf model's error range.
+    */
+  private def groupOf(z: Long): Int = {
+    val (_, lo, hi) = predictRange(z)
+    locate(z, lo, hi)
   }
 
   def pointQuery(x: Double, y: Double): Option[Point] = {
     val z = zOf(x, y)
-    val (_, lo, hi) = predictRange(z)
-    val g = locate(z, lo, hi)
-    findInGroup(g, x, y) match {
-      case some @ Some(_) => some
-      case None =>
-        // Z-value ties can straddle a block boundary.
-        if (g > 0 && minZ(g) == z) findInGroup(g - 1, x, y)
-        else if (g + 1 < numBlks && minZ(g + 1) == z) findInGroup(g + 1, x, y)
-        else None
+    val g = groupOf(z)
+    var s = store.findInGroup(g, x, y)
+    // Z-value ties can straddle a block boundary.
+    if (!s.found) {
+      if (g > 0 && minZ(g) == z) s = store.findInGroup(g - 1, x, y)
+      else if (g + 1 < numBlks && minZ(g + 1) == z) s = store.findInGroup(g + 1, x, y)
     }
+    if (s.found) Some(store.peek(s.block).point(s.index)) else None
   }
 
   /** §4.2 for Z-curves: ql/qh are the bottom-left and top-right window
@@ -121,58 +111,21 @@ final class ZmIndex private (
 
   def windowQuery(r: Rect): Seq[Point] = {
     val (begin, end) = windowRange(r)
-    val out = mutable.ArrayBuffer.empty[Point]
-    store.scanRange(begin, end) { blk =>
-      var i = 0
-      while (i < blk.size) {
-        val p = blk.point(i)
-        if (r.contains(p)) out += p
-        i += 1
-      }
-      true
-    }
-    out.toSeq
+    store.windowScan(begin, end, r)
   }
 
   def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
     ExpandingKnn.knn(store, pmfX, pmfY, cardinality, 0.01, qx, qy, k)(windowRange)
 
   def insert(p: Point): Unit = {
-    val z = zOf(p.x, p.y)
-    val (_, lo, hi) = predictRange(z)
-    val g = locate(z, lo, hi)
-    var target = store.peek(g)
-    val ord = target.ord
-    var stop = false
-    while (!stop && target.isFull) {
-      val nxt = if (target.next >= 0) store.peek(target.next) else null
-      if (nxt != null && nxt.inserted && nxt.ord == ord) target = nxt
-      else stop = true
-    }
-    if (target.isFull) {
-      val nb = store.allocate(ord, inserted = true)
-      store.linkAfter(target, nb)
-      target = nb
-    }
-    target.add(p)
+    store.appendToGroup(groupOf(zOf(p.x, p.y)), p)
     cardinality += 1
   }
 
   def delete(x: Double, y: Double): Boolean = {
-    val z = zOf(x, y)
-    val (_, lo, hi) = predictRange(z)
-    val g = locate(z, lo, hi)
-    val ord = store.peek(g).ord
-    var cur = g
-    while (cur >= 0) {
-      val meta = store.peek(cur)
-      if (cur != g && !(meta.inserted && meta.ord == ord)) return false
-      val blk = store.read(cur)
-      val i = blk.indexOf(x, y)
-      if (i >= 0) { blk.removeAt(i); cardinality -= 1; return true }
-      cur = meta.next
-    }
-    false
+    val s = store.findInGroup(groupOf(zOf(x, y)), x, y)
+    if (s.found) { store.peek(s.block).removeAt(s.index); cardinality -= 1 }
+    s.found
   }
 
   def blockAccesses: Long = store.accesses

@@ -34,27 +34,21 @@ object ExpandingKnn {
       iter += 1
       val wq = Rect(qx - width / 2, qy - height / 2, qx + width / 2, qy + height / 2)
       val (begin, end) = windowRange(wq)
-      var cur = math.max(0, math.min(begin, store.originalCount - 1))
-      val hi  = math.max(cur, math.min(end, store.originalCount - 1))
-      var stop = false
-      while (cur >= 0 && !stop) {
-        val meta = store.peek(cur)
-        if (meta.ord > hi) stop = true
-        else {
-          if (!visited(cur) && (heap.size < k || meta.mbr.minDist2(qx, qy) < kth2)) {
-            visited += cur
-            val blk = store.read(cur)
-            var i = 0
-            while (i < blk.size) {
-              val p = blk.point(i)
-              val d2 = p.dist2(qx, qy)
-              if (heap.size < k) heap.add(p)
-              else if (d2 < kth2) { heap.poll(); heap.add(p) }
-              i += 1
-            }
+      var meta = store.rangeStart(begin)
+      while (meta != null) {
+        if (!visited(meta.id) && (heap.size < k || meta.mbr.minDist2(qx, qy) < kth2)) {
+          visited += meta.id
+          val blk = store.read(meta.id)
+          var i = 0
+          while (i < blk.size) {
+            val p = blk.point(i)
+            val d2 = p.dist2(qx, qy)
+            if (heap.size < k) heap.add(p)
+            else if (d2 < kth2) { heap.poll(); heap.add(p) }
+            i += 1
           }
-          cur = meta.next
         }
+        meta = store.rangeNext(meta, end)
       }
       val diagHalf2 = (width * width + height * height) / 4
       if (heap.size < k) {

@@ -1,6 +1,6 @@
 package repro.core
 
-import org.apache.spark.sql.{DataFrame, SparkSession}
+import org.apache.spark.sql.DataFrame
 import repro.spatial.Point
 
 /** Rank-space transformation (§3.1, from the R-tree packing work
@@ -45,29 +45,18 @@ object RankSpace {
     (rankX, rankY)
   }
 
-  /** Spark transform: adds `rank_x` and `rank_y` columns to a
-    * (id, x, y) DataFrame.
+  /** Spark transform: adds a `rank_x` column, each point's x-rank with
+    * the tie-breaks of [[ranks]], to an (id, x, y) DataFrame. This is
+    * the global rank [[RsmiSpark.build]] cuts into equal-count columns.
     *
     * A global `row_number` window would funnel everything through one
-    * partition, so instead each rank is a distributed sort followed by
-    * `zipWithIndex` (one extra job per dimension), joined back on id —
-    * the standard scalable ranking idiom.
+    * partition, so instead the rank is a distributed sort followed by
+    * `zipWithIndex` (one extra job), joined back on id — the standard
+    * scalable ranking idiom.
     */
   def withRanks(df: DataFrame): DataFrame = {
-    val spark = df.sparkSession
-    import spark.implicits._
-
-    def rankOf(first: String, second: String, out: String): DataFrame = {
-      val sorted = df.select("id", first, second)
-        .sort(first, second, "id")
-        .select("id")
-      val ranked = sorted.rdd
-        .map(_.getLong(0))
-        .zipWithIndex()
-      spark.createDataFrame(ranked).toDF("id", out)
-    }
-
-    df.join(rankOf("x", "y", "rank_x"), "id")
-      .join(rankOf("y", "x", "rank_y"), "id")
+    val sorted = df.select("id", "x", "y").sort("x", "y", "id").select("id")
+    val ranked = sorted.rdd.map(_.getLong(0)).zipWithIndex()
+    df.join(df.sparkSession.createDataFrame(ranked).toDF("id", "rank_x"), "id")
   }
 }

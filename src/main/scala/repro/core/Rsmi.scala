@@ -251,23 +251,6 @@ final class Rsmi(
     throw new IllegalStateException("unreachable")
   }
 
-  /** Scan block `g` plus any overflow blocks chained after it (same
-    * `ord`, inserted). Returns (blockId, slot) of the match.
-    */
-  private def findInBlockGroup(g: Int, x: Double, y: Double): Option[(Int, Int)] = {
-    val ord = store.peek(g).ord
-    var cur = g
-    while (cur >= 0) {
-      val meta = store.peek(cur)
-      if (cur != g && !(meta.inserted && meta.ord == ord)) return None
-      val blk = store.read(cur)
-      val i = blk.indexOf(x, y)
-      if (i >= 0) return Some((cur, i))
-      cur = meta.next
-    }
-    None
-  }
-
   // ---------------------------------------------------------- point query
 
   /** Algorithm 1. Returns the indexed point with these coordinates, if
@@ -286,16 +269,12 @@ final class Rsmi(
     val maxD = math.max(gpred - lo, hi - gpred)
     while (d <= maxD) {
       if (gpred + d <= hi) {
-        findInBlockGroup(gpred + d, x, y) match {
-          case Some((b, i)) => return Some(store.peek(b).point(i))
-          case None         =>
-        }
+        val s = store.findInGroup(gpred + d, x, y)
+        if (s.found) return Some(store.peek(s.block).point(s.index))
       }
       if (d > 0 && gpred - d >= lo) {
-        findInBlockGroup(gpred - d, x, y) match {
-          case Some((b, i)) => return Some(store.peek(b).point(i))
-          case None         =>
-        }
+        val s = store.findInGroup(gpred - d, x, y)
+        if (s.found) return Some(store.peek(s.block).point(s.index))
       }
       d += 1
     }
@@ -333,17 +312,7 @@ final class Rsmi(
   /** Algorithm 2 (approximate; never returns a point outside `r`). */
   def windowQuery(r: Rect): Seq[Point] = {
     val (begin, end) = windowRange(r)
-    val out = mutable.ArrayBuffer.empty[Point]
-    store.scanRange(begin, end) { blk =>
-      var i = 0
-      while (i < blk.size) {
-        val p = blk.point(i)
-        if (r.contains(p)) out += p
-        i += 1
-      }
-      true
-    }
-    out.toSeq
+    store.windowScan(begin, end, r)
   }
 
   /** RSMIa exact window query: R-tree-style traversal over sub-model
@@ -355,20 +324,10 @@ final class Rsmi(
       case in: InternalNode =>
         in.children.foreach(ch => if (ch != null && ch.mbr.intersects(r)) walk(ch))
       case lf: LeafNode =>
-        var cur = lf.firstBlk
-        while (cur >= 0) {
-          val meta = store.peek(cur)
-          if (meta.ord > lf.lastBlk) return
-          if (meta.mbr.intersects(r)) {
-            val blk = store.read(cur)
-            var i = 0
-            while (i < blk.size) {
-              val p = blk.point(i)
-              if (r.contains(p)) out += p
-              i += 1
-            }
-          }
-          cur = meta.next
+        var blk = store.rangeStart(lf.firstBlk)
+        while (blk != null) {
+          if (blk.mbr.intersects(r)) store.read(blk.id).filterInto(r, out)
+          blk = store.rangeNext(blk, lf.lastBlk)
         }
     }
     walk(root)
@@ -409,15 +368,10 @@ final class Rsmi(
             if (ch != null) pq.add(Entry(ch.mbr.minDist2(qx, qy), ch, -1, null))
           }
         case lf: LeafNode =>
-          var cur = lf.firstBlk
-          var stop = false
-          while (cur >= 0 && !stop) {
-            val meta = store.peek(cur)
-            if (meta.ord > lf.lastBlk) stop = true
-            else {
-              pq.add(Entry(meta.mbr.minDist2(qx, qy), null, meta.id, null))
-              cur = meta.next
-            }
+          var blk = store.rangeStart(lf.firstBlk)
+          while (blk != null) {
+            pq.add(Entry(blk.mbr.minDist2(qx, qy), null, blk.id, null))
+            blk = store.rangeNext(blk, lf.lastBlk)
           }
       }
     }
@@ -432,21 +386,7 @@ final class Rsmi(
     */
   def insert(p: Point): Unit = {
     val (leaf, path) = descend(p.x, p.y)
-    val gpred = leaf.firstBlk + leaf.predictLocal(p.x, p.y)
-    // Find room in the predicted block or its overflow chain.
-    var target = store.peek(gpred)
-    var stop = false
-    while (!stop && target.isFull) {
-      val nxt = if (target.next >= 0) store.peek(target.next) else null
-      if (nxt != null && nxt.inserted && nxt.ord == store.peek(gpred).ord) target = nxt
-      else stop = true
-    }
-    if (target.isFull) {
-      val nb = store.allocate(store.peek(gpred).ord, inserted = true)
-      store.linkAfter(target, nb)
-      target = nb
-    }
-    target.add(p)
+    store.appendToGroup(leaf.firstBlk + leaf.predictLocal(p.x, p.y), p)
     path.foreach(nd => nd.mbr = nd.mbr.expand(p.x, p.y))
     cardinality += 1
   }
@@ -461,12 +401,11 @@ final class Rsmi(
     val hi = math.min(leaf.lastBlk, gpred + leaf.errA)
     var g = lo
     while (g <= hi) {
-      findInBlockGroup(g, x, y) match {
-        case Some((b, i)) =>
-          store.peek(b).removeAt(i)
-          cardinality -= 1
-          return true
-        case None =>
+      val s = store.findInGroup(g, x, y)
+      if (s.found) {
+        store.peek(s.block).removeAt(s.index)
+        cardinality -= 1
+        return true
       }
       g += 1
     }

@@ -44,13 +44,7 @@ object RsmiSpark {
     val order = math.max(1, Integer.numberOfTrailingZeros(s))
 
     // (1) equal-count columns by x-rank (distributed sort + zipWithIndex).
-    val rankedX = {
-      val sorted = df.select("id", "x", "y").sort("x", "y", "id").select("id")
-      val rx = spark.createDataFrame(sorted.rdd.map(_.getLong(0)).zipWithIndex())
-        .toDF("id", "rank_x")
-      df.join(rx, "id")
-    }
-    val withCol = rankedX.withColumn("gcol", (col("rank_x") * s / n).cast("int"))
+    val withCol = RankSpace.withRanks(df).withColumn("gcol", (col("rank_x") * s / n).cast("int"))
 
     // (2) equal-count cells by y within each column.
     val wOrd = Window.partitionBy("gcol").orderBy("y", "x", "id")

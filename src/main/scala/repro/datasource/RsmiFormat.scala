@@ -40,16 +40,16 @@ object RsmiFormat {
   def write(rsmi: Rsmi, dir: String): Unit = {
     val d = Paths.get(dir)
     Files.createDirectories(d)
-    val descs = new Array[BlockDesc](rsmi.store.numBlocks)
+    val store = rsmi.store
+    val descs = new Array[BlockDesc](store.numBlocks)
     val ch = FileChannel.open(d.resolve("blocks.bin"),
       StandardOpenOption.CREATE, StandardOpenOption.WRITE,
       StandardOpenOption.TRUNCATE_EXISTING)
     try {
       var offset = 0L
       // Chain order keeps a leaf's blocks (and overflow) contiguous.
-      var cur = 0
-      while (cur >= 0 && rsmi.store.numBlocks > 0) {
-        val blk = rsmi.store.peek(cur)
+      var blk = store.rangeStart(0)
+      while (blk != null) {
         val buf = ByteBuffer.allocate(blk.size * RecordBytes)
         var i = 0
         while (i < blk.size) {
@@ -59,15 +59,15 @@ object RsmiFormat {
         }
         buf.flip()
         ch.write(buf)
-        descs(cur) = BlockDesc(offset, blk.size, blk.ord, blk.inserted, blk.next, blk.mbr)
+        descs(blk.id) = BlockDesc(offset, blk.size, blk.ord, blk.inserted, blk.next, blk.mbr)
         offset += blk.size.toLong * RecordBytes
-        cur = blk.next
+        blk = store.rangeNext(blk, store.originalCount - 1)
       }
     } finally ch.close()
 
     val oos = new ObjectOutputStream(new BufferedOutputStream(
       Files.newOutputStream(d.resolve("meta.ser"))))
-    try oos.writeObject(Meta(rsmi.root, rsmi.cfg, descs, rsmi.store.originalCount, rsmi.cardinality))
+    try oos.writeObject(Meta(rsmi.root, rsmi.cfg, descs, store.originalCount, rsmi.cardinality))
     finally oos.close()
   }
 

@@ -11,10 +11,11 @@ import repro.spatial.{Point, Rect}
   * table/figure and returns the printed lines (for assertions).
   *
   * Scale: the paper runs 1–128 M points; our default is
-  * n = 200 000 (overridable via BENCH_N) with the paper's B = 100 and
-  * N = 10 000, and 200 queries per setting (paper: 1 000; override via
-  * BENCH_QUERIES). Ground truths are precomputed once per query set and
-  * shared across the indices. EXPERIMENTS.md records paper-vs-ours.
+  * n = 200 000 (overridable via BENCH_N) with the paper's B = 100,
+  * N = 1 000 (`defaultCfg`, below; the paper's default is 10 000) and
+  * 200 queries per setting (paper: 1 000; override via BENCH_QUERIES).
+  * Ground truths are precomputed once per query set and shared across
+  * the indices. EXPERIMENTS.md records paper-vs-ours.
   */
 object Experiments {
 

@@ -44,7 +44,7 @@ object Harness {
     * ZM) over `pts`. RSMI and RSMIa share one trained structure, as in
     * the paper.
     */
-  def buildAll(pts: Array[Point], cfg: RsmiConfig = RsmiConfig(),
+  def buildAll(pts: Array[Point], cfg: RsmiConfig,
                zmEpochs: Int = 150,
                include: Set[String] = Set.empty): Seq[Built] = {
     def wanted(n: String) = include.isEmpty || include.contains(n)

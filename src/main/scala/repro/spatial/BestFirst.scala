@@ -1,8 +1,8 @@
 package repro.spatial
 
 /** Generic best-first kNN traversal [Roussopoulos et al. 1995],
-  * shared by every hierarchical index in the comparison (KDB, HRR,
-  * RR*, RSMIa).
+  * shared by the tree baselines (KDB, HRR, RR*). RSMIa's
+  * `Rsmi.knnQueryExact` runs the same traversal with its own queue.
   *
   * The priority queue holds both index entries (`Left`, keyed by
   * MINDIST of their region) and points (`Right`, keyed by actual

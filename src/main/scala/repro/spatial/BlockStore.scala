@@ -9,17 +9,12 @@ import scala.collection.mutable.ArrayBuffer
   * same. Deletions follow §5: the deleted point is swapped with the
   * last live point, so `pts(0 until size)` are always the live points.
   *
-  * Blocks form a doubly-linked chain (the prev/next "pointers" of
-  * §3.2). Blocks created by insertions are flagged `inserted` and
-  * carry the `ord` of the block they were chained after, so a range
-  * scan over original block IDs [a, b] can follow the chain and still
-  * visit overflow blocks, while error bounds keep referring to
-  * original IDs only (§5).
+  * `next` is the block's successor on the [[BlockStore]] chain (the
+  * "pointers" of §3.2); `ord` and `inserted` place the block in it.
   */
 final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: Int) {
   private val buf = new ArrayBuffer[Point](math.min(capacity, 16))
   var next: Int = -1
-  var prev: Int = -1
   /** MBR over every point ever stored; not shrunk on delete (safe for
     * MINDIST pruning, just conservative).
     */
@@ -52,14 +47,41 @@ final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: In
     }
     -1
   }
+
+  /** Appends the live points inside `r` to `out`. */
+  def filterInto(r: Rect, out: ArrayBuffer[Point]): Unit = {
+    var i = 0
+    while (i < buf.length) {
+      val p = buf(i)
+      if (r.contains(p)) out += p
+      i += 1
+    }
+  }
 }
 
-/** An append-only store of simulated blocks with an access counter.
+/** Where [[BlockStore.findInGroup]] found a point: block id and slot,
+  * packed in one Long so a lookup allocates nothing.
+  */
+final class Slot(val bits: Long) extends AnyVal {
+  def found: Boolean = bits >= 0
+  def block: Int = (bits >>> 32).toInt
+  def index: Int = bits.toInt
+}
+
+/** An append-only store of simulated blocks with an access counter,
+  * and the only code that knows how blocks are chained.
   *
   * `read` counts one block access; `peek` does not (build-time
   * bookkeeping). Original blocks are allocated contiguously at build
-  * time so an original block's ID equals its position in curve order;
-  * overflow blocks get fresh IDs at the end but are linked into place.
+  * time so an original block's ID equals its position in curve order,
+  * and `chainOriginals` links them in that order. Blocks created by
+  * insertions are flagged `inserted`, carry the `ord` of the original
+  * block they overflow, and are linked after it (§5). So original block
+  * `g` and the inserted blocks that follow it form `g`'s *group*, and
+  * the chain visits blocks in non-decreasing `ord`: a walk over
+  * original IDs [a, b] follows the chain while `ord <= b` and meets
+  * every overflow block in the range, while error bounds keep
+  * referring to original IDs only.
   */
 final class BlockStore(val capacity: Int) extends Serializable {
   private val blocks = new ArrayBuffer[Block]()
@@ -86,14 +108,6 @@ final class BlockStore(val capacity: Int) extends Serializable {
   /** Access a block without counting (builder/maintenance use only). */
   def peek(id: Int): Block = blocks(id)
 
-  /** Link block `nb` into the chain immediately after `pred`. */
-  def linkAfter(pred: Block, nb: Block): Unit = {
-    nb.next = pred.next
-    nb.prev = pred.id
-    if (pred.next >= 0) blocks(pred.next).prev = nb.id
-    pred.next = nb.id
-  }
-
   /** Chain the original blocks [0, originalCount) in ID order. Called
     * once after build-time packing.
     */
@@ -101,27 +115,96 @@ final class BlockStore(val capacity: Int) extends Serializable {
     originalCount = blocks.length
     var i = 0
     while (i < blocks.length) {
-      blocks(i).prev = i - 1
       blocks(i).next = if (i + 1 < blocks.length) i + 1 else -1
       i += 1
     }
   }
 
-  /** Visit blocks along the chain starting at original block `a`, while
-    * their `ord` is <= b; counts one access per visited block. The
-    * visitor returns false to stop early.
+  /** Link block `nb` into the chain immediately after `pred`. */
+  private def linkAfter(pred: Block, nb: Block): Unit = {
+    nb.next = pred.next
+    pred.next = nb.id
+  }
+
+  /** Whether block `id` (-1: none) is an overflow block of the group with `ord`. */
+  private def inGroup(id: Int, ord: Int): Boolean =
+    id >= 0 && blocks(id).inserted && blocks(id).ord == ord
+
+  /** Scans original block `g`, then its overflow blocks, for a point at
+    * (x, y), counting one access per block read and stopping at the
+    * first match.
+    */
+  def findInGroup(g: Int, x: Double, y: Double): Slot = {
+    val ord = blocks(g).ord
+    var id = g
+    while (id >= 0) {
+      val blk = read(id)
+      val i = blk.indexOf(x, y)
+      if (i >= 0) return new Slot(id.toLong << 32 | i)
+      id = if (inGroup(blk.next, ord)) blk.next else -1
+    }
+    new Slot(-1L)
+  }
+
+  /** Adds `p` to the first non-full block of original block `g`'s group;
+    * when every block is full, links a new inserted block with `g`'s
+    * `ord` after the group's last one. Counts no access.
+    */
+  def appendToGroup(g: Int, p: Point): Unit = {
+    val ord = blocks(g).ord
+    var target = blocks(g)
+    while (target.isFull && inGroup(target.next, ord)) target = blocks(target.next)
+    if (target.isFull) {
+      val nb = allocate(ord, inserted = true)
+      linkAfter(target, nb)
+      target = nb
+    }
+    target.add(p)
+  }
+
+  /** Cursor over the blocks of original range [a, b], b >= a, in chain
+    * order: original block `a` (clamped to the originals), then each
+    * block after it on the chain whose `ord` is <= b, overflow blocks
+    * included. `rangeStart(a)` is the first block, `rangeNext(blk, b)`
+    * the one after `blk`, and null ends the walk:
+    * {{{
+    * var blk = store.rangeStart(a)
+    * while (blk != null) { ...; blk = store.rangeNext(blk, b) }
+    * }}}
+    * The walk counts no access; callers `read` the blocks they scan.
+    */
+  def rangeStart(a: Int): Block =
+    if (originalCount == 0) null else blocks(math.max(0, math.min(a, originalCount - 1)))
+
+  /** The block after `blk` on a [[rangeStart]] walk ending at original block `b`, or null. */
+  def rangeNext(blk: Block, b: Int): Block =
+    if (blk.next < 0) null
+    else {
+      val n = blocks(blk.next)
+      if (n.ord <= b) n else null
+    }
+
+  /** The [[rangeStart]] walk over [a, b], reading every block it
+    * visits, one access each. The block that ends the range is charged
+    * an access too, though it is not visited. The visitor returns false
+    * to stop early.
     */
   def scanRange(a: Int, b: Int)(visit: Block => Boolean): Unit = {
-    if (originalCount == 0) return
-    val lo = math.max(0, math.min(a, originalCount - 1))
-    val hi = math.max(lo, math.min(b, originalCount - 1))
-    var cur = lo
-    while (cur >= 0) {
-      val blk = read(cur)
-      if (blk.ord > hi) return
+    var blk = rangeStart(a)
+    while (blk != null) {
+      accessCount += 1
       if (!visit(blk)) return
-      cur = blk.next
+      val next = rangeNext(blk, b)
+      if (next == null && blk.next >= 0) accessCount += 1
+      blk = next
     }
+  }
+
+  /** Alg 2's scan: the points inside `r` of the blocks `scanRange(a, b)` visits. */
+  def windowScan(a: Int, b: Int, r: Rect): Seq[Point] = {
+    val out = ArrayBuffer.empty[Point]
+    scanRange(a, b) { blk => blk.filterInto(r, out); true }
+    out.toSeq
   }
 
   /** Live points across all blocks (tests / rebuild). */

@@ -74,16 +74,6 @@ class RsmiSparkSpec extends SparkSpec {
     assert(got === expected)
   }
 
-  test("withRanks rank_y matches the local computation too") {
-    val sdf = SpatialData.generate(spark, SpatialData.Skewed, 1500)
-    val local = SpatialData.collectPoints(sdf)
-    val (_, ry) = RankSpace.ranks(local)
-    val expected = local.zip(ry).map { case (p, r) => p.id -> r.toLong }.toMap
-    val got = RankSpace.withRanks(sdf).select("id", "rank_y").collect()
-      .map(r => r.getLong(0) -> r.getLong(1)).toMap
-    assert(got === expected)
-  }
-
   test("Spark and local builds have comparable error bounds") {
     val localIdx = RsmiBuilder.build(pts, cfg)
     val (sl, sa) = idx.maxErrBounds
