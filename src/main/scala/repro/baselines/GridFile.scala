@@ -60,13 +60,7 @@ final class GridFile private (
         val blocks = cellBlocks(cy * dim + cx)
         var bi = 0
         while (bi < blocks.length) {
-          val blk = store.read(blocks(bi))
-          var i = 0
-          while (i < blk.size) {
-            val p = blk.point(i)
-            if (r.contains(p)) out += p
-            i += 1
-          }
+          store.read(blocks(bi)).filterInto(r, out)
           bi += 1
         }
         cx += 1
@@ -83,9 +77,7 @@ final class GridFile private (
     */
   def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] = {
     require(k >= 1)
-    val heap = new java.util.PriorityQueue[Point](k,
-      (a: Point, b: Point) => java.lang.Double.compare(b.dist2(qx, qy), a.dist2(qx, qy)))
-    def kth2: Double = if (heap.size < k) Double.PositiveInfinity else heap.peek.dist2(qx, qy)
+    val best = new KNearest(k, qx, qy)
     val c0 = cellOf(qx, qy)
     val cx0 = c0 % dim; val cy0 = c0 / dim
     val cellW = math.min((space.xhi - space.xlo) / dim, (space.yhi - space.ylo) / dim)
@@ -100,19 +92,11 @@ final class GridFile private (
           if (math.max(math.abs(cx - cx0), math.abs(cy - cy0)) == ring) {
             any = true
             val cell = cy * dim + cx
-            if (cellRect(cell).minDist2(qx, qy) < kth2) {
+            if (cellRect(cell).minDist2(qx, qy) < best.kth2) {
               val blocks = cellBlocks(cell)
               var bi = 0
               while (bi < blocks.length) {
-                val blk = store.read(blocks(bi))
-                var i = 0
-                while (i < blk.size) {
-                  val p = blk.point(i)
-                  val d2 = p.dist2(qx, qy)
-                  if (heap.size < k) heap.add(p)
-                  else if (d2 < kth2) { heap.poll(); heap.add(p) }
-                  i += 1
-                }
+                best.offer(store.read(blocks(bi)))
                 bi += 1
               }
             }
@@ -122,14 +106,11 @@ final class GridFile private (
         cy += 1
       }
       val ringDist = ring.toDouble * cellW
-      if (heap.size == k && kth2 <= ringDist * ringDist) done = true
+      if (best.size == k && best.kth2 <= ringDist * ringDist) done = true
       if (!any && ring > dim) done = true
       ring += 1
     }
-    val out = new Array[Point](heap.size)
-    var i = heap.size - 1
-    while (i >= 0) { out(i) = heap.poll(); i -= 1 }
-    out.toSeq
+    best.result(store)
   }
 
   /** §6.2.5: a new point goes to the last block of its cell. */
@@ -161,14 +142,9 @@ object GridFile {
     // Bulk placement cell by cell keeps blocks dense.
     val byCell = pts.groupBy(p => gf.cellOf(p.x, p.y))
     for ((c, cellPts) <- byCell) {
-      var blk: Block = null
-      for (p <- cellPts) {
-        if (blk == null || blk.isFull) {
-          blk = store.allocate(store.numBlocks, inserted = false)
-          cellBlocks(c) += blk.id
-        }
-        blk.add(p)
-      }
+      val first = store.numBlocks
+      store.packOriginals(cellPts)
+      cellBlocks(c) ++= first until store.numBlocks
     }
     store.chainOriginals()
     gf

@@ -221,13 +221,7 @@ object ZmIndex {
 
     // Pack blocks in Z order; freeze per-block minimum Z-values.
     val store = new BlockStore(B)
-    var blk: Block = null
-    var i = 0
-    while (i < n) {
-      if (i % B == 0) blk = store.allocate(store.numBlocks, inserted = false)
-      blk.add(ordered(i))
-      i += 1
-    }
+    store.packOriginals(ordered)
     store.chainOriginals()
     val minZ = Array.tabulate(store.originalCount)(b => zs(b * B))
 

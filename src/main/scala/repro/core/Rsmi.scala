@@ -283,28 +283,23 @@ final class Rsmi(
 
   // --------------------------------------------------------- window query
 
-  /** Block-ID bounds contributed by one window corner: the §4.2
-    * "not found" branch [M(q.cord) − errl, M(q.cord) + erra], clamped
-    * to the corner leaf's own range.
-    */
-  private def cornerBounds(x: Double, y: Double): (Int, Int) = {
-    val leaf = leafFor(x, y)
-    val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
-    (math.max(leaf.firstBlk, gpred - leaf.errL),
-     math.min(leaf.lastBlk, gpred + leaf.errA))
-  }
-
-  /** Original-block range to scan for window `r`: min/max of the four
-    * corner bounds (Hilbert-curve case of §4.2).
+  /** Original-block range to scan for window `r` (Hilbert-curve case
+    * of §4.2): each corner contributes the "not found" branch
+    * [M(q.cord) − errl, M(q.cord) + erra], clamped to the corner leaf's
+    * own range, and the range spans the min/max of the four.
     */
   def windowRange(r: Rect): (Int, Int) = {
-    val corners = Array((r.xlo, r.ylo), (r.xhi, r.ylo), (r.xlo, r.yhi), (r.xhi, r.yhi))
     var begin = Int.MaxValue
     var end   = Int.MinValue
-    for ((cx, cy) <- corners) {
-      val (lo, hi) = cornerBounds(cx, cy)
-      begin = math.min(begin, lo)
-      end   = math.max(end, hi)
+    var c = 0
+    while (c < 4) {
+      val x = if ((c & 1) == 0) r.xlo else r.xhi
+      val y = if (c < 2) r.ylo else r.yhi
+      val leaf = leafFor(x, y)
+      val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
+      begin = math.min(begin, math.max(leaf.firstBlk, gpred - leaf.errL))
+      end   = math.max(end, math.min(leaf.lastBlk, gpred + leaf.errA))
+      c += 1
     }
     (begin, end)
   }
@@ -343,34 +338,44 @@ final class Rsmi(
   def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
     ExpandingKnn.knn(store, pmfX, pmfY, cardinality, cfg.delta, qx, qy, k)(windowRange)
 
-  /** Exact kNN via best-first traversal (RSMIa with MBRs). */
+  /** Exact kNN via best-first traversal (RSMIa with MBRs). The queue
+    * holds sub-models and blocks keyed by MINDIST and points keyed by
+    * distance, as refs: a point's [[Slot]] bits (>= 0), block `b` as
+    * `-1 - b`, and the `j`-th queued node as `Long.MinValue + j`.
+    */
   def knnQueryExact(qx: Double, qy: Double, k: Int): Seq[Point] = {
     require(k >= 1)
-    final case class Entry(d2: Double, node: RsmiNode, blockId: Int, point: Point)
-    val pq = new java.util.PriorityQueue[Entry](64,
-      (a: Entry, b: Entry) => java.lang.Double.compare(a.d2, b.d2))
-    pq.add(Entry(root.mbr.minDist2(qx, qy), root, -1, null))
+    val nodes = mutable.ArrayBuffer[RsmiNode](root)
+    val pq = new DistHeap(64)
+    pq.push(root.mbr.minDist2(qx, qy), Long.MinValue)
     val out = mutable.ArrayBuffer.empty[Point]
     while (out.size < k && !pq.isEmpty) {
-      val e = pq.poll()
-      if (e.point != null) out += e.point
-      else if (e.blockId >= 0) {
-        val blk = store.read(e.blockId)
+      val ref = pq.topRef
+      pq.pop()
+      if (ref >= 0) {
+        val s = new Slot(ref)
+        out += store.peek(s.block).point(s.index)
+      } else if (ref >= -1L - Int.MaxValue) {
+        val blk = store.read((-1L - ref).toInt)
+        val xs = blk.xs; val ys = blk.ys
         var i = 0
         while (i < blk.size) {
-          val p = blk.point(i)
-          pq.add(Entry(p.dist2(qx, qy), null, -1, p))
+          val dx = xs(i) - qx; val dy = ys(i) - qy
+          pq.push(dx * dx + dy * dy, Slot(blk.id, i).bits)
           i += 1
         }
-      } else e.node match {
+      } else nodes((ref - Long.MinValue).toInt) match {
         case in: InternalNode =>
           in.children.foreach { ch =>
-            if (ch != null) pq.add(Entry(ch.mbr.minDist2(qx, qy), ch, -1, null))
+            if (ch != null) {
+              pq.push(ch.mbr.minDist2(qx, qy), Long.MinValue + nodes.size)
+              nodes += ch
+            }
           }
         case lf: LeafNode =>
           var blk = store.rangeStart(lf.firstBlk)
           while (blk != null) {
-            pq.add(Entry(blk.mbr.minDist2(qx, qy), null, blk.id, null))
+            pq.push(blk.mbr.minDist2(qx, qy), -1L - blk.id)
             blk = store.rangeNext(blk, lf.lastBlk)
           }
       }
@@ -391,8 +396,11 @@ final class Rsmi(
     cardinality += 1
   }
 
-  /** §5 deletion: locate via point query, swap-with-last, flag removed.
-    * Blocks are never deallocated (error-bound validity).
+  /** §5 deletion: scans the groups of the predicted range
+    * [pred − errl, pred + erra] upward from its low end (not outward
+    * from the prediction, as [[pointQuery]] does), then removes the
+    * first match by swap-with-last. Blocks are never deallocated
+    * (error-bound validity).
     */
   def delete(x: Double, y: Double): Boolean = {
     val leaf = leafFor(x, y)

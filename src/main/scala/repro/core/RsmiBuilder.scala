@@ -77,16 +77,13 @@ object RsmiBuilder {
     LeafResult(model, ordered, errL, errA, mbr)
   }
 
-  /** Append a trained leaf's blocks to the store and wrap it as a node. */
+  /** Append a trained leaf's blocks (B points each, the tail block the
+    * rest) to the store and wrap it as a node.
+    */
   def materializeLeaf(lr: LeafResult, store: BlockStore, cfg: RsmiConfig): LeafNode = {
+    require(store.capacity == cfg.B, s"store capacity ${store.capacity} differs from B = ${cfg.B}")
     val firstBlk = store.numBlocks
-    var i = 0
-    var blk: Block = null
-    while (i < lr.orderedPts.length) {
-      if (i % cfg.B == 0) blk = store.allocate(store.numBlocks, inserted = false)
-      blk.add(lr.orderedPts(i))
-      i += 1
-    }
+    store.packOriginals(lr.orderedPts)
     val numBlks = store.numBlocks - firstBlk
     new LeafNode(lr.model, firstBlk, numBlks, lr.errL, lr.errA, lr.mbr)
   }

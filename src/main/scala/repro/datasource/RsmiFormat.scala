@@ -47,18 +47,19 @@ object RsmiFormat {
       StandardOpenOption.TRUNCATE_EXISTING)
     try {
       var offset = 0L
+      val buf = ByteBuffer.allocate(store.capacity * RecordBytes)
       // Chain order keeps a leaf's blocks (and overflow) contiguous.
       var blk = store.rangeStart(0)
       while (blk != null) {
-        val buf = ByteBuffer.allocate(blk.size * RecordBytes)
+        val ids = blk.ids; val xs = blk.xs; val ys = blk.ys
+        buf.clear()
         var i = 0
         while (i < blk.size) {
-          val p = blk.point(i)
-          buf.putLong(p.id); buf.putDouble(p.x); buf.putDouble(p.y)
+          buf.putLong(ids(i)); buf.putDouble(xs(i)); buf.putDouble(ys(i))
           i += 1
         }
         buf.flip()
-        ch.write(buf)
+        while (buf.hasRemaining) ch.write(buf)
         descs(blk.id) = BlockDesc(offset, blk.size, blk.ord, blk.inserted, blk.next, blk.mbr)
         offset += blk.size.toLong * RecordBytes
         blk = store.rangeNext(blk, store.originalCount - 1)

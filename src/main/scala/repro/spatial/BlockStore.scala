@@ -6,66 +6,100 @@ import scala.collection.mutable.ArrayBuffer
   *
   * The paper runs everything in main memory and reports *block
   * accesses* as the external-memory cost indicator (§6.1); we do the
-  * same. Deletions follow §5: the deleted point is swapped with the
-  * last live point, so `pts(0 until size)` are always the live points.
+  * same. A block keeps its points in three primitive columns, `ids`,
+  * `xs` and `ys`, so scans read coordinates without dereferencing a
+  * `Point`; [[point]] builds one only for a point a query returns.
+  * Deletions follow §5: the deleted point is swapped with the last
+  * live point, so slots `0 until size` are always the live points.
+  *
+  * The columns start with `slots` entries. [[BlockStore.packOriginals]]
+  * allocates build-time blocks at their final size; a block that grows
+  * by insertion doubles its columns, up to `capacity`.
   *
   * `next` is the block's successor on the [[BlockStore]] chain (the
   * "pointers" of §3.2); `ord` and `inserted` place the block in it.
   */
-final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: Int) {
-  private val buf = new ArrayBuffer[Point](math.min(capacity, 16))
+final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: Int, slots: Int) {
+  private var n = 0
+  private var idCol = new Array[Long](slots)
+  private var xCol = new Array[Double](slots)
+  private var yCol = new Array[Double](slots)
   var next: Int = -1
   /** MBR over every point ever stored; not shrunk on delete (safe for
     * MINDIST pruning, just conservative).
     */
   var mbr: Rect = Rect.empty
 
-  def size: Int = buf.length
-  def isFull: Boolean = buf.length >= capacity
-  def point(i: Int): Point = buf(i)
-  def points: Seq[Point] = buf.toSeq
+  def size: Int = n
+  def isFull: Boolean = n >= capacity
+
+  /** The columns; slots `0 until size` are live. Read-only for callers. */
+  private[repro] def ids: Array[Long] = idCol
+  private[repro] def xs: Array[Double] = xCol
+  private[repro] def ys: Array[Double] = yCol
+
+  def point(i: Int): Point = {
+    if (i < 0 || i >= n) throw new IndexOutOfBoundsException(s"slot $i of block $id holding $n points")
+    Point(idCol(i), xCol(i), yCol(i))
+  }
+
+  def points: Seq[Point] = (0 until n).map(point)
 
   def add(p: Point): Unit = {
     require(!isFull, s"block $id full")
-    buf += p
+    if (n == xCol.length) grow()
+    idCol(n) = p.id; xCol(n) = p.x; yCol(n) = p.y
+    n += 1
     mbr = mbr.expand(p.x, p.y)
   }
 
-  /** Swap-with-last removal of the point at index `i`. */
-  def removeAt(i: Int): Point = {
-    val p = buf(i)
-    buf(i) = buf(buf.length - 1)
-    buf.remove(buf.length - 1)
-    p
+  private def grow(): Unit = {
+    val len = math.min(capacity, math.max(1, 2 * xCol.length))
+    idCol = java.util.Arrays.copyOf(idCol, len)
+    xCol = java.util.Arrays.copyOf(xCol, len)
+    yCol = java.util.Arrays.copyOf(yCol, len)
+  }
+
+  /** Swap-with-last removal of the point at slot `i`. */
+  def removeAt(i: Int): Unit = {
+    if (i < 0 || i >= n) throw new IndexOutOfBoundsException(s"slot $i of block $id holding $n points")
+    n -= 1
+    idCol(i) = idCol(n); xCol(i) = xCol(n); yCol(i) = yCol(n)
   }
 
   def indexOf(x: Double, y: Double): Int = {
     var i = 0
-    while (i < buf.length) {
-      if (buf(i).x == x && buf(i).y == y) return i
+    while (i < n) {
+      if (xCol(i) == x && yCol(i) == y) return i
       i += 1
     }
     -1
   }
 
-  /** Appends the live points inside `r` to `out`. */
+  /** Appends the live points inside `r` (edges included) to `out`. */
   def filterInto(r: Rect, out: ArrayBuffer[Point]): Unit = {
+    val xlo = r.xlo; val ylo = r.ylo; val xhi = r.xhi; val yhi = r.yhi
     var i = 0
-    while (i < buf.length) {
-      val p = buf(i)
-      if (r.contains(p)) out += p
+    while (i < n) {
+      val x = xCol(i); val y = yCol(i)
+      if (x >= xlo && x <= xhi && y >= ylo && y <= yhi) out += Point(idCol(i), x, y)
       i += 1
     }
   }
 }
 
-/** Where [[BlockStore.findInGroup]] found a point: block id and slot,
-  * packed in one Long so a lookup allocates nothing.
+/** Where a point lives: block id and slot, packed in one Long so a
+  * lookup ([[BlockStore.findInGroup]]) or a kNN candidate allocates
+  * nothing.
   */
 final class Slot(val bits: Long) extends AnyVal {
   def found: Boolean = bits >= 0
   def block: Int = (bits >>> 32).toInt
   def index: Int = bits.toInt
+}
+
+object Slot {
+  def apply(block: Int, index: Int): Slot = new Slot(block.toLong << 32 | index)
 }
 
 /** An append-only store of simulated blocks with an access counter,
@@ -93,10 +127,25 @@ final class BlockStore(val capacity: Int) extends Serializable {
   def accesses: Long = accessCount
   def resetAccesses(): Unit = accessCount = 0
 
-  def allocate(ord: Int, inserted: Boolean): Block = {
-    val b = new Block(blocks.length, ord, inserted, capacity)
+  def allocate(ord: Int, inserted: Boolean): Block = allocate(ord, inserted, math.min(capacity, 16))
+
+  private def allocate(ord: Int, inserted: Boolean, slots: Int): Block = {
+    val b = new Block(blocks.length, ord, inserted, capacity, slots)
     blocks += b
     b
+  }
+
+  /** Packs `pts`, in order, into new original blocks of `capacity`
+    * points each (the last takes the rest), each allocated at its final
+    * size; a block's `ord` is its ID. Build-time packing.
+    */
+  def packOriginals(pts: Array[Point]): Unit = {
+    var i = 0
+    while (i < pts.length) {
+      val end = math.min(pts.length, i + capacity)
+      val blk = allocate(blocks.length, inserted = false, end - i)
+      while (i < end) { blk.add(pts(i)); i += 1 }
+    }
   }
 
   /** Read a block, counting one access. */
@@ -140,7 +189,7 @@ final class BlockStore(val capacity: Int) extends Serializable {
     while (id >= 0) {
       val blk = read(id)
       val i = blk.indexOf(x, y)
-      if (i >= 0) return new Slot(id.toLong << 32 | i)
+      if (i >= 0) return Slot(id, i)
       id = if (inGroup(blk.next, ord)) blk.next else -1
     }
     new Slot(-1L)
@@ -210,8 +259,10 @@ final class BlockStore(val capacity: Int) extends Serializable {
   /** Live points across all blocks (tests / rebuild). */
   def allPoints: Seq[Point] = blocks.iterator.flatMap(_.points).toSeq
 
-  /** Rough serialized size in bytes: 24 bytes per live point plus a
-    * small per-block header — used for the index-size columns.
+  /** Rough serialized size in bytes: 24 bytes per live point (its
+    * 8-byte `ids`, `xs` and `ys` column entries, as in a `blocks.bin`
+    * record) plus a small per-block header — used for the index-size
+    * columns. Unused column capacity is not counted.
     */
   def sizeBytes: Long =
     blocks.iterator.map(b => 24L * b.size + 16L).sum

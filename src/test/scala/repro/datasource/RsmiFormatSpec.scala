@@ -4,7 +4,7 @@ import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
 import repro.core.{RsmiBuilder, RsmiConfig}
 import repro.data.SpatialData
-import repro.spatial.Rect
+import repro.spatial.{Point, Rect}
 
 /** File-format layer of the rsmi DataSource, independent of Spark. */
 class RsmiFormatSpec extends AnyFunSuite {
@@ -74,6 +74,32 @@ class RsmiFormatSpec extends AnyFunSuite {
     RsmiFormat.write(idx, dir)
     val size = Files.size(java.nio.file.Paths.get(dir, "blocks.bin"))
     assert(size === 24L * pts.length)
+  }
+
+  test("blocks.bin holds every block's columns bit for bit, overflow blocks included") {
+    val pts = SpatialData.local(SpatialData.Normal, 3000)
+    val idx = RsmiBuilder.build(pts, cfg)
+    // A tight cluster of inserts overflows its predicted blocks.
+    (0 until 3 * cfg.B).foreach(i => idx.insert(Point(100000L + i, 0.5 + i * 1e-9, 0.5 - i * 1e-9)))
+    assert(idx.store.numBlocks > idx.store.originalCount)
+    val dir = Files.createTempDirectory("rsmi-fmt").toString
+    RsmiFormat.write(idx, dir)
+    val meta = RsmiFormat.readMeta(dir)
+    val bytes = java.nio.ByteBuffer.wrap(Files.readAllBytes(java.nio.file.Paths.get(dir, "blocks.bin")))
+    var records = 0L
+    (0 until idx.store.numBlocks).foreach { b =>
+      val blk = idx.store.peek(b)
+      val d = meta.blocks(b)
+      assert(d.count === blk.size)
+      (0 until blk.size).foreach { i =>
+        val at = (d.offset + i.toLong * RsmiFormat.RecordBytes).toInt
+        assert(bytes.getLong(at) === blk.ids(i), s"id of block $b slot $i")
+        assert(bytes.getLong(at + 8) === java.lang.Double.doubleToRawLongBits(blk.xs(i)), s"x of block $b slot $i")
+        assert(bytes.getLong(at + 16) === java.lang.Double.doubleToRawLongBits(blk.ys(i)), s"y of block $b slot $i")
+      }
+      records += blk.size
+    }
+    assert(bytes.capacity === records * RsmiFormat.RecordBytes)
   }
 
   test("reading a truncated blocks.bin names the file, offset and byte count") {

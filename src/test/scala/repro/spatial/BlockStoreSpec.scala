@@ -29,8 +29,77 @@ class BlockStoreSpec extends AnyFunSuite {
     b.add(Point(1, 0.1, 0.1)); b.add(Point(2, 0.2, 0.2)); b.add(Point(3, 0.3, 0.3))
     b.removeAt(0)
     assert(b.size === 2)
-    assert(b.point(0).id === 3) // last swapped in
+    assert(b.point(0) === Point(3, 0.3, 0.3)) // last swapped in, all three columns
     assert(b.indexOf(0.1, 0.1) === -1)
+  }
+
+  test("a block grows its columns past the first allocation up to capacity") {
+    val s = store(100)
+    val b = s.allocate(0, inserted = false)
+    val pts = (0 until 100).map(i => Point(1000L + i, i * 0.01, 1 - i * 0.01))
+    pts.foreach(b.add)
+    assert(b.isFull && b.size === 100)
+    assert(b.xs.length === 100) // doubled 16 -> 32 -> 64, then capped
+    assert((0 until 100).map(b.point) === pts)
+    intercept[IllegalArgumentException](b.add(Point(1, 0.5, 0.5)))
+  }
+
+  test("point(i) returns exactly what add stored, and no slot past size") {
+    val s = store()
+    val b = s.allocate(0, inserted = false)
+    val stored = Seq(Point(Long.MinValue, -0.0, Double.MinPositiveValue), Point(Long.MaxValue, 1e300, -1e-300))
+    stored.foreach(b.add)
+    stored.indices.foreach { i =>
+      val p = b.point(i)
+      assert(p.id === stored(i).id)
+      assert(java.lang.Double.doubleToRawLongBits(p.x) === java.lang.Double.doubleToRawLongBits(stored(i).x))
+      assert(java.lang.Double.doubleToRawLongBits(p.y) === java.lang.Double.doubleToRawLongBits(stored(i).y))
+    }
+    intercept[IndexOutOfBoundsException](b.point(2))
+    intercept[IndexOutOfBoundsException](b.point(-1))
+  }
+
+  test("removeAt on the last slot and on the only slot") {
+    val s = store()
+    val b = s.allocate(0, inserted = false)
+    b.add(Point(1, 0.1, 0.1)); b.add(Point(2, 0.2, 0.2)); b.add(Point(3, 0.3, 0.3))
+    b.removeAt(2)
+    assert(b.points === Seq(Point(1, 0.1, 0.1), Point(2, 0.2, 0.2)))
+    val only = s.allocate(1, inserted = false)
+    only.add(Point(4, 0.4, 0.4))
+    only.removeAt(0)
+    assert(only.size === 0 && only.indexOf(0.4, 0.4) === -1)
+    intercept[IndexOutOfBoundsException](only.removeAt(0))
+    only.add(Point(5, 0.5, 0.5)) // the freed slot is reused
+    assert(only.points === Seq(Point(5, 0.5, 0.5)))
+  }
+
+  test("filterInto includes points on the window's edges and corners") {
+    val s = store(8)
+    val b = s.allocate(0, inserted = false)
+    val r = Rect(0.2, 0.2, 0.6, 0.6)
+    val inside = Seq(Point(1, 0.2, 0.4), Point(2, 0.6, 0.3), Point(3, 0.4, 0.2), Point(4, 0.5, 0.6),
+                     Point(5, 0.2, 0.2), Point(6, 0.6, 0.6), Point(7, 0.4, 0.4))
+    val outside = Seq(Point(8, 0.6000000000000001, 0.4))
+    (inside ++ outside).foreach(b.add)
+    val out = scala.collection.mutable.ArrayBuffer.empty[Point]
+    b.filterInto(r, out)
+    assert(out.toSeq === inside)
+  }
+
+  test("packOriginals allocates each block at its final size") {
+    val s = store(40)
+    s.packOriginals(Array.tabulate(90)(i => Point(i, i * 0.01, i * 0.01)))
+    assert((0 until s.numBlocks).map(s.peek(_).size) === Seq(40, 40, 10))
+    (0 until s.numBlocks).foreach { b =>
+      val blk = s.peek(b)
+      assert(blk.ord === b && !blk.inserted)
+      assert(blk.xs.length === blk.size && blk.ys.length === blk.size && blk.ids.length === blk.size)
+    }
+    assert(s.peek(2).point(9) === Point(89, 0.89, 0.89))
+    // A later insert into the tail block grows its columns, capped at capacity.
+    (0 until 30).foreach(i => s.peek(2).add(Point(100 + i, 0.5, 0.5)))
+    assert(s.peek(2).isFull && s.peek(2).xs.length === 40)
   }
 
   test("read counts accesses, peek does not") {
