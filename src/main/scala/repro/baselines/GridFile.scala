@@ -14,12 +14,12 @@ import repro.spatial._
 final class GridFile private (
     val space: Rect,
     val dim: Int,
-    store: BlockStore,
-    cellBlocks: Array[mutable.ArrayBuffer[Int]]) extends SpatialIndexApi {
+    private[repro] val store: BlockStore,
+    private[repro] val cellBlocks: Array[mutable.ArrayBuffer[Int]]) extends SpatialIndexApi {
 
   val name = "Grid"
 
-  private def cellOf(x: Double, y: Double): Int = {
+  private[repro] def cellOf(x: Double, y: Double): Int = {
     val cx = math.min(dim - 1, math.max(0,
       ((x - space.xlo) / (space.xhi - space.xlo) * dim).toInt))
     val cy = math.min(dim - 1, math.max(0,
@@ -27,7 +27,7 @@ final class GridFile private (
     cy * dim + cx
   }
 
-  private def cellRect(c: Int): Rect = {
+  private[repro] def cellRect(c: Int): Rect = {
     val cx = c % dim; val cy = c / dim
     val w = (space.xhi - space.xlo) / dim
     val h = (space.yhi - space.ylo) / dim
@@ -77,7 +77,7 @@ final class GridFile private (
     */
   def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] = {
     require(k >= 1)
-    val best = new KNearest(k, qx, qy)
+    val best = new KNearest(k, qx, qy, store)
     val c0 = cellOf(qx, qy)
     val cx0 = c0 % dim; val cy0 = c0 / dim
     val cellW = math.min((space.xhi - space.xlo) / dim, (space.yhi - space.ylo) / dim)
@@ -110,7 +110,7 @@ final class GridFile private (
       if (!any && ring > dim) done = true
       ring += 1
     }
-    best.result(store)
+    best.result()
   }
 
   /** §6.2.5: a new point goes to the last block of its cell. */

@@ -33,7 +33,7 @@ final class ZmIndex private (
     val errA: Array[Int],
     private[repro] val store: BlockStore,
     minZ: Array[Long],
-    pmfX: Pmf, pmfY: Pmf,
+    private[repro] val pmfX: Pmf, private[repro] val pmfY: Pmf,
     nPoints: Long) extends SpatialIndexApi {
 
   val name = "ZM"

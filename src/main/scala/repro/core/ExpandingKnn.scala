@@ -11,9 +11,13 @@ import repro.spatial.{BlockStore, KNearest, Point, Rect}
   * window query to the original-block scan range (RSMI: corner point
   * queries, §4.2; ZM: Z-values of the bottom-left/top-right corners).
   *
-  * The k best candidates so far are block slots in a [[KNearest]]
-  * max-heap, scanned from the blocks' coordinate columns; a `Point` is
-  * built only for the k returned.
+  * Each round walks the blocks of the learned range in curve order
+  * and reads a block only when its MINDIST is below the current k-th
+  * distance. The k best candidates so far are block slots in a
+  * [[KNearest]], scanned from the blocks' coordinate columns; its k-th
+  * distance is exact after every block, so which blocks are read and
+  * when the window grows depend only on the distances offered. A
+  * `Point` is built only for the k returned.
   */
 object ExpandingKnn {
 
@@ -28,7 +32,7 @@ object ExpandingKnn {
     val side = math.sqrt(k.toDouble / n)
     var width  = math.max(1e-9, pmfX.alpha(qx, delta) * side)
     var height = math.max(1e-9, pmfY.alpha(qy, delta) * side)
-    val best = new KNearest(k, qx, qy)
+    val best = new KNearest(k, qx, qy, store)
     val visited = mutable.BitSet.empty
     var iter = 0
     var done = false
@@ -53,6 +57,6 @@ object ExpandingKnn {
         width = d; height = d
       } else done = true
     }
-    best.result(store)
+    best.result()
   }
 }

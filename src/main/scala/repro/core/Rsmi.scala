@@ -234,23 +234,6 @@ final class Rsmi(
     throw new IllegalStateException("unreachable")
   }
 
-  /** Like [[leafFor]] but also returns the root→leaf path (used by
-    * updates for MBR maintenance).
-    */
-  private def descend(x: Double, y: Double): (LeafNode, List[RsmiNode]) = {
-    var nd: RsmiNode = root
-    var path: List[RsmiNode] = Nil
-    while (true) {
-      nd match {
-        case lf: LeafNode => return (lf, (lf :: path).reverse)
-        case in: InternalNode =>
-          path = in :: path
-          nd = in.children(in.routeCell(x, y))
-      }
-    }
-    throw new IllegalStateException("unreachable")
-  }
-
   // ---------------------------------------------------------- point query
 
   /** Algorithm 1. Returns the indexed point with these coordinates, if
@@ -386,13 +369,21 @@ final class Rsmi(
   // -------------------------------------------------------------- updates
 
   /** §5 insertion: place `p` in its predicted block, overflowing into a
-    * chained `inserted` block (exempt from error bounds); update
-    * ancestor MBRs.
+    * chained `inserted` block (exempt from error bounds). The descent
+    * widens the MBR of each node on the way to the leaf, replacing it
+    * only when `p` falls outside, so an insert allocates no path.
     */
   def insert(p: Point): Unit = {
-    val (leaf, path) = descend(p.x, p.y)
+    var nd = root
+    var leaf: LeafNode = null
+    while (leaf == null) {
+      if (!nd.mbr.contains(p.x, p.y)) nd.mbr = nd.mbr.expand(p.x, p.y)
+      nd match {
+        case lf: LeafNode     => leaf = lf
+        case in: InternalNode => nd = in.children(in.routeCell(p.x, p.y))
+      }
+    }
     store.appendToGroup(leaf.firstBlk + leaf.predictLocal(p.x, p.y), p)
-    path.foreach(nd => nd.mbr = nd.mbr.expand(p.x, p.y))
     cardinality += 1
   }
 

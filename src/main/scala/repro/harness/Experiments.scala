@@ -40,42 +40,6 @@ object Experiments {
 
   private def fmt(v: Double): String = if (v >= 100) f"$v%.0f" else f"$v%.2f"
 
-  /** Exact kNN ground truth via a bounded max-heap: O(n log k) per
-    * query. Returns the id set and the kth (largest) distance² — the
-    * latter makes recall tie-tolerant: clamped generators can produce
-    * exact duplicate points, and any returned point at distance ≤ the
-    * true kth distance is a correct answer.
-    */
-  def knnTruth(pts: Array[Point], qx: Double, qy: Double, k: Int): (Set[Long], Double) = {
-    val heap = new java.util.PriorityQueue[Point](math.max(1, k),
-      (a: Point, b: Point) => java.lang.Double.compare(b.dist2(qx, qy), a.dist2(qx, qy)))
-    var i = 0
-    while (i < pts.length) {
-      val p = pts(i)
-      if (heap.size < k) heap.add(p)
-      else if (p.dist2(qx, qy) < heap.peek.dist2(qx, qy)) { heap.poll(); heap.add(p) }
-      i += 1
-    }
-    val kth2 = if (heap.isEmpty) 0.0 else heap.peek.dist2(qx, qy)
-    val out = Set.newBuilder[Long]
-    while (!heap.isEmpty) out += heap.poll().id
-    (out.result(), kth2)
-  }
-
-  def windowTruthIds(pts: Array[Point], r: Rect): Set[Long] = {
-    val out = Set.newBuilder[Long]
-    var i = 0
-    while (i < pts.length) {
-      if (r.contains(pts(i))) out += pts(i).id
-      i += 1
-    }
-    out.result()
-  }
-
-  private def recallOf(got: Seq[Point], truth: Set[Long]): Double =
-    if (truth.isEmpty) 1.0
-    else got.count(p => truth.contains(p.id)).toDouble / truth.size
-
   /** Average (time µs, block accesses) per point query over a sample. */
   def measurePointQueries(idx: SpatialIndexApi, qs: Array[Point]): (Double, Double) = {
     idx.resetCounters()
@@ -98,26 +62,24 @@ object Experiments {
       val t0 = System.nanoTime()
       val got = idx.windowQuery(r)
       totalNs += System.nanoTime() - t0
-      recallSum += recallOf(got, truth)
+      recallSum += Harness.recall(got, truth)
     }
     (totalNs / 1e6 / qs.length, recallSum / qs.length, idx.blockAccesses.toDouble / qs.length)
   }
 
   /** Average (time ms, recall) per kNN query against precomputed
-    * (query, truth-ids, kth-distance²) triples. A returned point
-    * counts as correct if its id is in the truth set *or* its distance
-    * does not exceed the true kth distance (duplicate-point ties).
+    * (query, truth) pairs; recall is [[Harness.KnnTruth.recall]], so a
+    * point tied with the true k-th counts as correct.
     */
   def measureKnnQueries(idx: SpatialIndexApi,
-                        qs: Array[(Point, Set[Long], Double)], k: Int): (Double, Double) = {
+                        qs: Array[(Point, Harness.KnnTruth)], k: Int): (Double, Double) = {
     var totalNs = 0L
     var recallSum = 0.0
-    qs.foreach { case (q, truth, kth2) =>
+    qs.foreach { case (q, truth) =>
       val t0 = System.nanoTime()
       val got = idx.knnQuery(q.x, q.y, k)
       totalNs += System.nanoTime() - t0
-      val matched = got.count(p => truth.contains(p.id) || p.dist2(q.x, q.y) <= kth2)
-      recallSum += (if (truth.isEmpty) 1.0 else math.min(1.0, matched.toDouble / truth.size))
+      recallSum += truth.recall(got, q.x, q.y)
     }
     (totalNs / 1e6 / qs.length, recallSum / qs.length)
   }
@@ -126,15 +88,12 @@ object Experiments {
                      aspect: Double = 1.0, seed: Long = 7): Array[(Rect, Set[Long])] =
     SpatialData.queryCenters(pts, nQueries, seed).map { q =>
       val r = Harness.window(q.x, q.y, areaFrac, aspect)
-      (r, windowTruthIds(pts, r))
+      (r, Harness.truthWindow(pts, r))
     }
 
   def knnQuerySet(pts: Array[Point], nQueries: Int, k: Int,
-                  seed: Long = 7): Array[(Point, Set[Long], Double)] =
-    SpatialData.queryCenters(pts, nQueries, seed).map { q =>
-      val (ids, kth2) = knnTruth(pts, q.x, q.y, k)
-      (q, ids, kth2)
-    }
+                  seed: Long = 7): Array[(Point, Harness.KnnTruth)] =
+    SpatialData.queryCenters(pts, nQueries, seed).map(q => (q, Harness.truthKnn(pts, q.x, q.y, k)))
 
   // ------------------------------------------------------- Table 3 (N)
 

@@ -16,18 +16,64 @@ object Harness {
     (a, System.nanoTime() - t0)
   }
 
-  /** Recall by point identity (the paper's metric: returned points over
-    * ground-truth cardinality; for kNN this equals precision, §6.2.4).
+  /** Ids of the points of `pts` inside `r`, edges included. */
+  def truthWindow(pts: Array[Point], r: Rect): Set[Long] = {
+    val out = Set.newBuilder[Long]
+    var i = 0
+    while (i < pts.length) {
+      if (r.contains(pts(i))) out += pts(i).id
+      i += 1
+    }
+    out.result()
+  }
+
+  /** Window recall, the paper's metric: the share of the truth ids that
+    * `got` returns; 1 for an empty truth.
     */
-  def recall(got: Seq[Point], truth: Seq[Point]): Double =
+  def recall(got: Seq[Point], truth: Set[Long]): Double =
     if (truth.isEmpty) 1.0
-    else got.map(_.id).toSet.intersect(truth.map(_.id).toSet).size.toDouble / truth.size
+    else got.count(p => truth.contains(p.id)).toDouble / truth.size
 
-  def truthWindow(pts: Array[Point], r: Rect): Seq[Point] =
-    pts.iterator.filter(r.contains).toSeq
+  /** The exact k nearest neighbours of one query: their ids and their
+    * squared distances, nearest first. Which of several points tied at
+    * the k-th distance `ids` holds is arbitrary, so answers are checked
+    * by distance: clamped generators produce duplicate points, and an
+    * exact kNN may keep any of them.
+    */
+  final case class KnnTruth(ids: Set[Long], dist2s: IndexedSeq[Double]) {
+    /** The k-th (largest) squared distance; 0 when there are no points. */
+    def kth2: Double = if (dist2s.isEmpty) 0.0 else dist2s.last
 
-  def truthKnn(pts: Array[Point], qx: Double, qy: Double, k: Int): Seq[Point] =
-    pts.sortBy(_.dist2(qx, qy)).take(k).toSeq
+    /** kNN recall (for kNN it equals precision, §6.2.4), tie-tolerant:
+      * a returned point counts when its id is in `ids` or its distance
+      * to (qx, qy) is at most the k-th.
+      */
+    def recall(got: Seq[Point], qx: Double, qy: Double): Double =
+      if (ids.isEmpty) 1.0
+      else math.min(1.0, got.count(p => ids.contains(p.id) || p.dist2(qx, qy) <= kth2).toDouble / ids.size)
+  }
+
+  /** Brute-force kNN through a bounded max-heap, O(n log k). */
+  def truthKnn(pts: Array[Point], qx: Double, qy: Double, k: Int): KnnTruth = {
+    val heap = new java.util.PriorityQueue[Point](math.max(1, k),
+      (a: Point, b: Point) => java.lang.Double.compare(b.dist2(qx, qy), a.dist2(qx, qy)))
+    var i = 0
+    while (i < pts.length) {
+      val p = pts(i)
+      if (heap.size < k) heap.add(p)
+      else if (p.dist2(qx, qy) < heap.peek.dist2(qx, qy)) { heap.poll(); heap.add(p) }
+      i += 1
+    }
+    val d2s = new Array[Double](heap.size)
+    val ids = Set.newBuilder[Long]
+    var j = d2s.length - 1
+    while (j >= 0) {
+      val p = heap.poll()
+      d2s(j) = p.dist2(qx, qy); ids += p.id
+      j -= 1
+    }
+    KnnTruth(ids.result(), d2s.toIndexedSeq)
+  }
 
   /** A window of `areaFrac` of the unit space with the given aspect
     * ratio (width/height), centred at (cx, cy) — §6.1's query shape.

@@ -50,7 +50,7 @@ final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: In
     if (n == xCol.length) grow()
     idCol(n) = p.id; xCol(n) = p.x; yCol(n) = p.y
     n += 1
-    mbr = mbr.expand(p.x, p.y)
+    if (!mbr.contains(p.x, p.y)) mbr = mbr.expand(p.x, p.y)
   }
 
   private def grow(): Unit = {

@@ -1,6 +1,7 @@
 package repro.baselines
 
 import org.scalatest.funsuite.AnyFunSuite
+import repro.core.ReferenceKnn
 import repro.data.SpatialData
 import repro.harness.Harness
 import repro.spatial.{Point, Rect}
@@ -37,16 +38,29 @@ class GridFileSpec extends AnyFunSuite {
     SpatialData.queryCenters(pts, 25).foreach { q =>
       val r = Harness.window(q.x, q.y, 0.01)
       assert(g.windowQuery(r).map(_.id).toSet ===
-             Harness.truthWindow(pts, r).map(_.id).toSet)
+             Harness.truthWindow(pts, r))
     }
   }
 
   test("kNN is exact") {
     val (pts, g) = buildOn(SpatialData.OsmLike)
     SpatialData.queryCenters(pts, 25).foreach { q =>
-      val got = g.knnQuery(q.x, q.y, 10).map(_.id).toSet
-      val exp = Harness.truthKnn(pts, q.x, q.y, 10).map(_.id).toSet
-      assert(got === exp)
+      assert(g.knnQuery(q.x, q.y, 10).map(_.dist2(q.x, q.y)) === Harness.truthKnn(pts, q.x, q.y, 10).dist2s)
+    }
+  }
+
+  test("kNN reads the blocks of the reference heap walk and finds its distances") {
+    for (dist <- Seq(SpatialData.OsmLike, SpatialData.Skewed)) {
+      val (pts, g) = buildOn(dist)
+      val extra = SpatialData.local(dist, 1000, seed = 6).map(p => p.copy(id = p.id + 1000000))
+      extra.foreach(g.insert)
+      for (k <- Seq(1, 5, 25, 125, 150); q <- SpatialData.queryCenters(pts ++ extra, 30)) {
+        g.resetCounters()
+        val got = g.knnQuery(q.x, q.y, k)
+        val ref = ReferenceKnn.gridRings(g, q.x, q.y, k)
+        assert(g.blockAccesses === ref.blocks, s"${dist.name} k=$k at $q")
+        assert(got.map(_.dist2(q.x, q.y)) === ref.dist2s, s"${dist.name} k=$k at $q")
+      }
     }
   }
 

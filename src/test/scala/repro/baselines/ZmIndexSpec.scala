@@ -53,7 +53,7 @@ class ZmIndexSpec extends AnyFunSuite {
   test("kNN (via the shared expanding algorithm) has high recall") {
     val (pts, z) = buildOn(SpatialData.Uniform)
     val recalls = SpatialData.queryCenters(pts, 25).map { q =>
-      Harness.recall(z.knnQuery(q.x, q.y, 10), Harness.truthKnn(pts, q.x, q.y, 10))
+      Harness.truthKnn(pts, q.x, q.y, 10).recall(z.knnQuery(q.x, q.y, 10), q.x, q.y)
     }
     val avg = recalls.sum / recalls.length
     assert(avg >= 0.8, s"avg recall $avg")

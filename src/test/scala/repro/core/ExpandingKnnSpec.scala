@@ -3,13 +3,16 @@ package repro.core
 import org.scalatest.funsuite.AnyFunSuite
 import repro.baselines.ZmIndex
 import repro.data.SpatialData
-import repro.spatial.Point
+import repro.spatial.{BlockStore, Point, Rect}
 
-/** Algorithm 3 ([[ExpandingKnn]]) as RSMI and ZM run it: the k-best
-  * heap over block slots returns the right distances, in order, for
-  * small and large k, for k at or beyond n, and under tied distances.
+/** Algorithm 3 ([[ExpandingKnn]]) as RSMI and ZM run it: the k best
+  * over block slots are the right distances, in order, for small and
+  * large k, for k at or beyond n, and under tied distances; and the walk
+  * reads the same blocks, in the same rounds, as the reference heap walk
+  * ([[ReferenceKnn.alg3]]).
   */
 class ExpandingKnnSpec extends AnyFunSuite {
+  import ExpandingKnnSpec.Alg3
 
   private val B = 20
   private val cfg = RsmiConfig(B = B, N = 400, leafEpochs = 40, internalEpochs = 40)
@@ -97,4 +100,49 @@ class ExpandingKnnSpec extends AnyFunSuite {
       assert(d.last === truth(pts, qx, qy, k).last, s"$name k=$k at ($qx, $qy)")
     }
   }
+
+  test("Alg 3 reads the blocks and runs the rounds of the reference heap walk, and finds its distances") {
+    val skewed = SpatialData.local(SpatialData.Skewed, 20000, seed = 21)
+    val rsmi = RsmiBuilder.build(skewed, RsmiConfig(B = 100, N = 1000, leafEpochs = 60, internalEpochs = 40))
+    val zm = ZmIndex.build(skewed, B = 100, epochs = 40)
+    // An OSM-like RSMI after 1 500 clustered inserts, so ranges cross overflow chains.
+    val osm = SpatialData.local(SpatialData.OsmLike, 3000, seed = 5)
+    val extra = SpatialData.local(SpatialData.OsmLike, 1500, seed = 6).map(p => p.copy(id = p.id + 1000000))
+    val grown = RsmiBuilder.build(osm, RsmiConfig(B = 50, N = 1000, leafEpochs = 40, internalEpochs = 40))
+    extra.foreach(grown.insert)
+    assert(grown.store.numBlocks > grown.store.originalCount)
+
+    val off = Seq(Point(-1, 0.5, 0.5), Point(-2, 1.2, -0.1))
+    val skewedQs = SpatialData.queryCenters(skewed, 40).toSeq ++ off
+    val cases = Seq(
+      Alg3("RSMI Skewed", rsmi.store, rsmi.pmfX, rsmi.pmfY, rsmi.cardinality, rsmi.cfg.delta,
+        rsmi.windowRange, rsmi.knnQuery, skewedQs),
+      Alg3("ZM Skewed", zm.store, zm.pmfX, zm.pmfY, skewed.length, 0.01, zm.windowRange, zm.knnQuery, skewedQs),
+      Alg3("RSMI OSM-like after inserts", grown.store, grown.pmfX, grown.pmfY, grown.cardinality, grown.cfg.delta,
+        grown.windowRange, grown.knnQuery, SpatialData.queryCenters(osm ++ extra, 40).toSeq ++ off))
+    for (c <- cases; k <- Seq(1, 5, 25, 125, 3 * c.store.capacity); q <- c.qs) {
+      var rounds = 0
+      val before = c.store.accesses
+      val got = ExpandingKnn.knn(c.store, c.pmfX, c.pmfY, c.cardinality, c.delta, q.x, q.y, k) { r =>
+        rounds += 1
+        c.windowRange(r)
+      }
+      val blocks = c.store.accesses - before
+      val ref = ReferenceKnn.alg3(c.store, c.pmfX, c.pmfY, c.cardinality, c.delta, q.x, q.y, k)(c.windowRange)
+      val clue = s"${c.name} k=$k at $q"
+      assert(blocks === ref.blocks, clue)
+      assert(rounds === ref.rounds, clue)
+      assert(got.map(_.dist2(q.x, q.y)) === ref.dist2s, clue)
+      assert(c.knnQuery(q.x, q.y, k) === got, clue)
+    }
+  }
+}
+
+object ExpandingKnnSpec {
+  /** One index's Alg 3: what `ExpandingKnn.knn` is called with, the
+    * index's own `knnQuery`, and the queries to run.
+    */
+  private final case class Alg3(name: String, store: BlockStore, pmfX: Pmf, pmfY: Pmf, cardinality: Long,
+                                delta: Double, windowRange: Rect => (Int, Int),
+                                knnQuery: (Double, Double, Int) => Seq[Point], qs: Seq[Point])
 }

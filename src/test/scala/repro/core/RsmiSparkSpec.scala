@@ -33,7 +33,7 @@ class RsmiSparkSpec extends SparkSpec {
     SpatialData.queryCenters(pts, 15).foreach { q =>
       val r = Harness.window(q.x, q.y, 0.01)
       assert(idx.windowQueryExact(r).map(_.id).toSet ===
-             Harness.truthWindow(pts, r).map(_.id).toSet)
+             Harness.truthWindow(pts, r))
     }
   }
 
@@ -50,7 +50,7 @@ class RsmiSparkSpec extends SparkSpec {
 
   test("Spark-built kNN recall is high") {
     val recalls = SpatialData.queryCenters(pts, 20).map { q =>
-      Harness.recall(idx.knnQuery(q.x, q.y, 10), Harness.truthKnn(pts, q.x, q.y, 10))
+      Harness.truthKnn(pts, q.x, q.y, 10).recall(idx.knnQuery(q.x, q.y, 10), q.x, q.y)
     }
     val avg = recalls.sum / recalls.length
     assert(avg >= 0.75, s"avg recall $avg")

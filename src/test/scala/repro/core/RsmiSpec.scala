@@ -142,7 +142,7 @@ class RsmiSpec extends AnyFunSuite {
     qs.foreach { q =>
       val r = Harness.window(q.x, q.y, 0.02)
       val got = idx.windowQueryExact(r).map(_.id).toSet
-      val exp = Harness.truthWindow(pts, r).map(_.id).toSet
+      val exp = Harness.truthWindow(pts, r)
       assert(got === exp)
     }
   }
@@ -151,7 +151,7 @@ class RsmiSpec extends AnyFunSuite {
     val (pts, idx) = buildOn(SpatialData.Uniform)
     val qs = SpatialData.queryCenters(pts, 30)
     val recalls = qs.map { q =>
-      Harness.recall(idx.knnQuery(q.x, q.y, 10), Harness.truthKnn(pts, q.x, q.y, 10))
+      Harness.truthKnn(pts, q.x, q.y, 10).recall(idx.knnQuery(q.x, q.y, 10), q.x, q.y)
     }
     val avg = recalls.sum / recalls.length
     assert(avg >= 0.8, s"avg kNN recall $avg")
@@ -161,9 +161,8 @@ class RsmiSpec extends AnyFunSuite {
     val (pts, idx) = buildOn(SpatialData.Skewed)
     val qs = SpatialData.queryCenters(pts, 20)
     qs.foreach { q =>
-      val got = idx.knnQueryExact(q.x, q.y, 5).map(_.id)
-      val exp = Harness.truthKnn(pts, q.x, q.y, 5).map(_.id)
-      assert(got.toSet === exp.toSet)
+      val got = idx.knnQueryExact(q.x, q.y, 5).map(_.dist2(q.x, q.y))
+      assert(got === Harness.truthKnn(pts, q.x, q.y, 5).dist2s)
     }
   }
 

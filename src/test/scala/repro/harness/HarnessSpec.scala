@@ -8,17 +8,17 @@ class HarnessSpec extends AnyFunSuite {
 
   test("recall of identical sets is 1") {
     val pts = Seq(Point(1, 0, 0), Point(2, 1, 1))
-    assert(Harness.recall(pts, pts) === 1.0)
+    assert(Harness.recall(pts, Set(1L, 2L)) === 1.0)
   }
 
   test("recall counts matched ids over truth size") {
-    val truth = Seq(Point(1, 0, 0), Point(2, 1, 1), Point(3, 2, 2), Point(4, 3, 3))
     val got = Seq(Point(1, 0, 0), Point(3, 2, 2))
-    assert(Harness.recall(got, truth) === 0.5)
+    assert(Harness.recall(got, Set(1L, 2L, 3L, 4L)) === 0.5)
   }
 
   test("recall of empty truth is 1 by convention") {
-    assert(Harness.recall(Seq.empty, Seq.empty) === 1.0)
+    assert(Harness.recall(Seq.empty, Set.empty) === 1.0)
+    assert(Harness.KnnTruth(Set.empty, IndexedSeq.empty).recall(Seq.empty, 0, 0) === 1.0)
   }
 
   test("window builds a rect of requested area and aspect") {
@@ -31,13 +31,27 @@ class HarnessSpec extends AnyFunSuite {
   test("truthWindow matches a straightforward filter") {
     val pts = SpatialData.local(SpatialData.Uniform, 1000)
     val r = Rect(0.2, 0.2, 0.4, 0.4)
-    assert(Harness.truthWindow(pts, r).toSet === pts.filter(r.contains).toSet)
+    assert(Harness.truthWindow(pts, r) === pts.filter(r.contains).map(_.id).toSet)
   }
 
   test("truthKnn returns the k nearest by distance") {
     val pts = Array(Point(1, 0.1, 0.1), Point(2, 0.2, 0.2), Point(3, 0.9, 0.9))
     val knn = Harness.truthKnn(pts, 0.0, 0.0, 2)
-    assert(knn.map(_.id) === Seq(1L, 2L))
+    assert(knn.ids === Set(1L, 2L))
+    assert(knn.dist2s === Seq(pts(0).dist2(0, 0), pts(1).dist2(0, 0)))
+    assert(knn.kth2 === pts(1).dist2(0, 0))
+    assert(Harness.truthKnn(pts, 0.0, 0.0, 5).dist2s === pts.map(_.dist2(0, 0)).toSeq)
+  }
+
+  test("kNN recall counts a point tied with the k-th as correct") {
+    // Points 2 and 3 tie at the k-th distance; the truth holds one of them.
+    val pts = Array(Point(1, 0.1, 0.0), Point(2, 0.2, 0.0), Point(3, 0.0, 0.2), Point(4, 0.5, 0.5))
+    val truth = Harness.truthKnn(pts, 0.0, 0.0, 2)
+    assert(truth.ids.size === 2 && truth.ids.contains(1L))
+    assert(truth.kth2 === pts(1).dist2(0, 0))
+    assert(truth.recall(Seq(pts(0), pts(1)), 0, 0) === 1.0)
+    assert(truth.recall(Seq(pts(0), pts(2)), 0, 0) === 1.0)
+    assert(truth.recall(Seq(pts(0), pts(3)), 0, 0) === 0.5)
   }
 
   test("buildAll constructs the requested subset") {
@@ -83,7 +97,7 @@ class HarnessSpec extends AnyFunSuite {
     val cfg = repro.core.RsmiConfig(B = 50, N = 1000, leafEpochs = 30, internalEpochs = 30)
     val built = Harness.buildAll(pts, cfg, include = Set("Grid", "HRR", "KDB", "RR*", "RSMIa"))
     SpatialData.queryCenters(pts, 10).foreach { q =>
-      val answers = built.map(b => b.index.name -> b.index.knnQuery(q.x, q.y, 5).map(_.id).toSet)
+      val answers = built.map(b => b.index.name -> b.index.knnQuery(q.x, q.y, 5).map(_.dist2(q.x, q.y)))
       val first = answers.head._2
       answers.foreach { case (name, ids) => assert(ids === first, s"$name disagrees") }
     }
