@@ -1,7 +1,5 @@
 package repro.baselines
 
-import scala.collection.mutable
-import repro.harness.SpatialIndexApi
 import repro.spatial._
 import repro.core.RankSpace
 
@@ -16,187 +14,41 @@ import repro.core.RankSpace
   * queries run directly in the original space (DESIGN.md §5) — the
   * packing (and hence the tree quality being measured) is identical.
   *
-  * Every node visit counts as a block access (inner nodes included).
+  * Dynamic insertion (on the [[BlockTree]] core): least-area-enlargement
+  * descent, median split on overflow, splits propagate to the root.
   */
-final class HrrTree private (val B: Int) extends SpatialIndexApi {
-  import HrrTree._
+final class HrrTree private (B: Int) extends BlockTree(B) {
+  import BlockTree._
 
   val name = "HRR"
-  private[baselines] var root: Node = _
-  private var accessCount: Long = 0L
-  private def touch(): Unit = accessCount += 1
 
-  def blockAccesses: Long = accessCount
-  def resetCounters(): Unit = accessCount = 0L
+  private[baselines] def chooseChild(in: Inner, p: Point): Node = leastEnlargement(in, p)
 
-  def height: Int = {
-    def h(n: Node): Int = n match {
-      case _: Leaf   => 1
-      case in: Inner => 1 + in.children.iterator.map(h).max
-    }
-    h(root)
-  }
-
-  def sizeBytes: Long = {
-    def sz(n: Node): Long = n match {
-      case lf: Leaf  => 24L * lf.pts.length + 48L
-      case in: Inner => 48L + in.children.iterator.map(c => 40L + sz(c)).sum
-    }
-    sz(root)
-  }
-
-  def pointQuery(x: Double, y: Double): Option[Point] = {
-    def search(nd: Node): Option[Point] = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          val i = lf.indexOf(x, y)
-          if (i >= 0) Some(lf.pts(i)) else None
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            val c = in.children(ci)
-            if (c.mbr.contains(x, y)) {
-              val r = search(c)
-              if (r.isDefined) return r
-            }
-            ci += 1
-          }
-          None
-      }
-    }
-    search(root)
-  }
-
-  def windowQuery(r: Rect): Seq[Point] = {
-    val out = mutable.ArrayBuffer.empty[Point]
-    def walk(nd: Node): Unit = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          var i = 0
-          while (i < lf.pts.length) {
-            val p = lf.pts(i)
-            if (r.contains(p)) out += p
-            i += 1
-          }
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            if (in.children(ci).mbr.intersects(r)) walk(in.children(ci))
-            ci += 1
-          }
-      }
-    }
-    walk(root)
-    out.toSeq
-  }
-
-  def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    BestFirst.knn(qx, qy, k, root, root.mbr.minDist2(qx, qy)) { nd =>
-      touch()
-      nd match {
-        case lf: Leaf  => (Seq.empty, lf.pts.toSeq)
-        case in: Inner =>
-          (in.children.map(c => (c.mbr.minDist2(qx, qy), c)).toSeq, Seq.empty)
-      }
-    }
-
-  /** Dynamic insertion: least-area-enlargement descent, median split on
-    * overflow, splits propagate to the root.
-    */
-  def insert(p: Point): Unit = {
-    def chooseChild(in: Inner): Node = {
-      var best: Node = null
-      var bestEnl = Double.PositiveInfinity
-      var bestArea = Double.PositiveInfinity
-      var ci = 0
-      while (ci < in.children.length) {
-        val c = in.children(ci)
-        val enl = c.mbr.expand(p.x, p.y).area - c.mbr.area
-        if (enl < bestEnl || (enl == bestEnl && c.mbr.area < bestArea)) {
-          best = c; bestEnl = enl; bestArea = c.mbr.area
-        }
-        ci += 1
-      }
-      best
-    }
-
-    def split(nd: Node): (Node, Node) = nd match {
-      case lf: Leaf =>
-        val vert = (lf.mbr.xhi - lf.mbr.xlo) >= (lf.mbr.yhi - lf.mbr.ylo)
-        val sorted = lf.pts.sortBy(q => if (vert) (q.x, q.y) else (q.y, q.x))
-        val mid = sorted.length / 2
-        (Leaf.of(sorted.take(mid)), Leaf.of(sorted.drop(mid)))
-      case in: Inner =>
-        val vert = (in.mbr.xhi - in.mbr.xlo) >= (in.mbr.yhi - in.mbr.ylo)
-        val sorted = in.children.sortBy(c => if (vert) c.mbr.centerX else c.mbr.centerY)
-        val mid = sorted.length / 2
-        (Inner.of(sorted.take(mid)), Inner.of(sorted.drop(mid)))
-    }
-
-    def descend(nd: Node): Option[(Node, Node)] = {
-      touch()
-      nd.mbr = nd.mbr.expand(p.x, p.y)
-      nd match {
-        case lf: Leaf =>
-          lf.pts += p
-          if (lf.pts.length > B) Some(split(lf)) else None
-        case in: Inner =>
-          val child = chooseChild(in)
-          descend(child) match {
-            case None => None
-            case Some((a, b)) =>
-              val idx = in.children.indexOf(child)
-              in.children(idx) = a
-              in.children.insert(idx + 1, b)
-              if (in.children.length > B) Some(split(in)) else None
-          }
-      }
-    }
-
-    descend(root) match {
-      case None =>
-      case Some((a, b)) => root = Inner.of(mutable.ArrayBuffer(a, b))
-    }
+  /** Halves the entries sorted along the longer side of the node's box. */
+  private[baselines] def split(nd: Node): (Node, Node) = nd match {
+    case lf: Leaf =>
+      val vert = (lf.mbr.xhi - lf.mbr.xlo) >= (lf.mbr.yhi - lf.mbr.ylo)
+      val sorted = lf.pts.sortBy(q => if (vert) (q.x, q.y) else (q.y, q.x))
+      val mid = sorted.length / 2
+      (Leaf.of(sorted.take(mid)), Leaf.of(sorted.drop(mid)))
+    case in: Inner =>
+      val vert = (in.mbr.xhi - in.mbr.xlo) >= (in.mbr.yhi - in.mbr.ylo)
+      val sorted = in.children.sortBy(c => if (vert) c.mbr.centerX else c.mbr.centerY)
+      val mid = sorted.length / 2
+      (Inner.of(sorted.take(mid)), Inner.of(sorted.drop(mid)))
   }
 }
 
 object HrrTree {
-  private[baselines] sealed trait Node { var mbr: Rect }
-  private[baselines] final class Leaf(val pts: mutable.ArrayBuffer[Point], var mbr: Rect) extends Node {
-    def indexOf(x: Double, y: Double): Int = {
-      var i = 0
-      while (i < pts.length) {
-        if (pts(i).x == x && pts(i).y == y) return i
-        i += 1
-      }
-      -1
-    }
-  }
-  private[baselines] object Leaf {
-    def of(ps: collection.Seq[Point]): Leaf =
-      new Leaf(mutable.ArrayBuffer(ps.toIndexedSeq: _*), Rect.mbrOf(ps.toIndexedSeq))
-  }
-  private[baselines] final class Inner(val children: mutable.ArrayBuffer[Node], var mbr: Rect) extends Node
-  private[baselines] object Inner {
-    def of(cs: collection.Seq[Node]): Inner =
-      new Inner(mutable.ArrayBuffer(cs.toIndexedSeq: _*),
-        cs.foldLeft(Rect.empty)((r, c) => r.union(c.mbr)))
-  }
+  import BlockTree._
 
   /** Bulk load via rank space + Hilbert (§3.1 steps 1–3), then pack B
     * entries per node level by level.
     */
   def build(pts: Array[Point], B: Int = 100): HrrTree = {
     require(pts.nonEmpty)
-    val (rankX, rankY) = RankSpace.ranks(pts)
-    val order = Hilbert.orderFor(pts.length)
-    val cv = Array.tabulate(pts.length)(i => Hilbert.xy2d(order, rankX(i), rankY(i)))
-    val byCv = Array.tabulate(pts.length)(identity).sortWith((a, b) => cv(a) < cv(b))
-    val ordered = byCv.map(pts(_))
-
-    var level: Vector[Node] = ordered.grouped(B).map(g => (Leaf.of(g.toIndexedSeq): Node)).toVector
+    var level: Vector[Node] =
+      RankSpace.hilbertOrder(pts).grouped(B).map(g => (Leaf.of(g.toIndexedSeq): Node)).toVector
     while (level.length > 1) {
       level = level.grouped(B).map(g => (Inner.of(g): Node)).toVector
     }

@@ -1,7 +1,6 @@
 package repro.baselines
 
 import scala.collection.mutable
-import repro.harness.SpatialIndexApi
 import repro.spatial._
 
 /** K-D-B-tree baseline [Robinson 1981]: a kd-tree implemented with a
@@ -11,177 +10,56 @@ import repro.spatial._
   * alternating dimensions, giving the non-overlapping space partition
   * that makes KDB competitive on point queries (§6.2.3).
   *
-  * Every node visit (internal or leaf) counts as one block access, as
-  * in the paper's accounting.
+  * Each node's box in the [[BlockTree]] core is its region, not the
+  * MBR of its points; the root's region is the whole plane.
   */
-final class KdbTree private (val B: Int) extends SpatialIndexApi {
-  import KdbTree._
+final class KdbTree private (B: Int) extends BlockTree(B) {
+  import BlockTree._
 
   val name = "KDB"
-  private[baselines] var root: Node = _
-  private var accessCount: Long = 0L
-  private[baselines] def touch(): Unit = accessCount += 1
 
-  def blockAccesses: Long = accessCount
-  def resetCounters(): Unit = accessCount = 0L
-
-  def sizeBytes: Long = {
-    def sz(n: Node): Long = n match {
-      case lf: Leaf  => 24L * lf.pts.length + 48L
-      case in: Inner => 48L + in.children.iterator.map(c => 40L + sz(c)).sum
-    }
-    sz(root)
-  }
-
-  def height: Int = {
-    def h(n: Node): Int = n match {
-      case _: Leaf   => 1
-      case in: Inner => 1 + in.children.iterator.map(h).max
-    }
-    h(root)
-  }
-
-  def pointQuery(x: Double, y: Double): Option[Point] = {
-    // Regions are disjoint up to their shared closed boundaries, and a
-    // median split puts the cut exactly on a data point's coordinate —
-    // so a point can lie on the boundary of two sibling regions. Search
-    // every containing child (at most two per level in practice).
-    def search(nd: Node): Option[Point] = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          val i = lf.indexOf(x, y)
-          if (i >= 0) Some(lf.pts(i)) else None
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            if (in.regions(ci).contains(x, y)) {
-              val r = search(in.children(ci))
-              if (r.isDefined) return r
-            }
-            ci += 1
-          }
-          None
-      }
-    }
-    search(root)
-  }
-
-  def windowQuery(r: Rect): Seq[Point] = {
-    val out = mutable.ArrayBuffer.empty[Point]
-    def walk(nd: Node): Unit = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          var i = 0
-          while (i < lf.pts.length) {
-            val p = lf.pts(i)
-            if (r.contains(p)) out += p
-            i += 1
-          }
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            if (in.regions(ci).intersects(r)) walk(in.children(ci))
-            ci += 1
-          }
-      }
-    }
-    walk(root)
-    out.toSeq
-  }
-
-  def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    BestFirst.knn(qx, qy, k, root, 0.0) { nd =>
-      touch()
-      nd match {
-        case lf: Leaf  => (Seq.empty, lf.pts.toSeq)
-        case in: Inner =>
-          (in.children.indices.map(ci =>
-            (in.regions(ci).minDist2(qx, qy), in.children(ci))), Seq.empty)
-      }
-    }
-
-  /** Insert into the (unique) covering leaf; a full leaf splits in two
-    * by the median of its longer region side (the K-D-B leaf split).
-    * A parent that overflows keeps the extra entry — at bench insert
-    * volumes parents stay far below 2B (documented deviation).
+  /** The (unique) child region holding `p`; a point outside every
+    * region goes to the nearest one, which the descent then widens.
     */
-  def insert(p: Point): Unit = {
-    def descend(nd: Node, region: Rect): Unit = nd match {
-      case lf: Leaf =>
-        touch()
-        if (lf.pts.length < B) lf.pts += p
-        else {
-          // Split region and redistribute.
-          val all = lf.pts.toArray :+ p
-          val vertical = (region.xhi - region.xlo) >= (region.yhi - region.ylo)
-          val sorted = all.sortBy(q => if (vertical) (q.x, q.y) else (q.y, q.x))
-          val mid = sorted(all.length / 2)
-          val cut = if (vertical) mid.x else mid.y
-          val (rl, rr) =
-            if (vertical)
-              (region.copy(xhi = cut), region.copy(xlo = cut))
-            else
-              (region.copy(yhi = cut), region.copy(ylo = cut))
-          val (lp, rp) = all.partition(q => if (vertical) q.x < cut else q.y < cut)
-          lf.parent match {
-            case null => // root leaf: grow a new root
-              val nl = new Leaf(mutable.ArrayBuffer(lp.toIndexedSeq: _*))
-              val nr = new Leaf(mutable.ArrayBuffer(rp.toIndexedSeq: _*))
-              val inner = new Inner(mutable.ArrayBuffer(nl, nr), mutable.ArrayBuffer(rl, rr))
-              nl.parent = inner; nr.parent = inner
-              root = inner
-            case par =>
-              val idx = par.children.indexOf(lf)
-              val nl = new Leaf(mutable.ArrayBuffer(lp.toIndexedSeq: _*))
-              val nr = new Leaf(mutable.ArrayBuffer(rp.toIndexedSeq: _*))
-              nl.parent = par; nr.parent = par
-              par.children(idx) = nl
-              par.regions(idx) = rl
-              par.children.insert(idx + 1, nr)
-              par.regions.insert(idx + 1, rr)
-          }
-        }
-      case in: Inner =>
-        touch()
-        var ci = 0
-        var best = -1
-        while (best < 0 && ci < in.children.length) {
-          if (in.regions(ci).contains(p.x, p.y)) best = ci
-          ci += 1
-        }
-        if (best < 0) { // outside every region: route to nearest
-          var bd = Double.PositiveInfinity
-          ci = 0
-          while (ci < in.children.length) {
-            val d = in.regions(ci).minDist2(p.x, p.y)
-            if (d < bd) { bd = d; best = ci }
-            ci += 1
-          }
-          in.regions(best) = in.regions(best).expand(p.x, p.y)
-        }
-        descend(in.children(best), in.regions(best))
+  private[baselines] def chooseChild(in: Inner, p: Point): Node = {
+    val cs = in.children
+    var ci = 0
+    while (ci < cs.length) {
+      if (cs(ci).mbr.contains(p.x, p.y)) return cs(ci)
+      ci += 1
     }
-    descend(root, Rect(-1e9, -1e9, 1e9, 1e9))
+    var best: Node = null
+    var bd = Double.PositiveInfinity
+    ci = 0
+    while (ci < cs.length) {
+      val d = cs(ci).mbr.minDist2(p.x, p.y)
+      if (d < bd) { bd = d; best = cs(ci) }
+      ci += 1
+    }
+    best
+  }
+
+  /** A full leaf splits in two by the median of its region's longer
+    * side (the K-D-B leaf split). An inner node that overflows keeps the
+    * extra entry: at bench insert volumes parents stay far below 2B
+    * (documented deviation).
+    */
+  private[baselines] def split(nd: Node): (Node, Node) = nd match {
+    case lf: Leaf =>
+      val region = lf.mbr
+      val vertical = (region.xhi - region.xlo) >= (region.yhi - region.ylo)
+      val sorted = lf.pts.sortBy(q => if (vertical) (q.x, q.y) else (q.y, q.x))
+      val mid = sorted(sorted.length / 2)
+      val cut = if (vertical) mid.x else mid.y
+      val (lp, rp) = lf.pts.partition(q => if (vertical) q.x < cut else q.y < cut)
+      if (vertical) (new Leaf(lp, region.copy(xhi = cut)), new Leaf(rp, region.copy(xlo = cut)))
+      else (new Leaf(lp, region.copy(yhi = cut)), new Leaf(rp, region.copy(ylo = cut)))
+    case _: Inner => null
   }
 }
 
 object KdbTree {
-  private[baselines] sealed trait Node { var parent: Inner = null }
-  private[baselines] final class Leaf(val pts: mutable.ArrayBuffer[Point]) extends Node {
-    def indexOf(x: Double, y: Double): Int = {
-      var i = 0
-      while (i < pts.length) {
-        if (pts(i).x == x && pts(i).y == y) return i
-        i += 1
-      }
-      -1
-    }
-  }
-  private[baselines] final class Inner(
-      val children: mutable.ArrayBuffer[Node],
-      val regions: mutable.ArrayBuffer[Rect]) extends Node
+  import BlockTree._
 
   /** Bulk load: recursively split into up to B equal-count regions per
     * node (alternating-dimension median cuts), then pack leaves of up
@@ -193,7 +71,7 @@ object KdbTree {
 
     def buildNode(ps: Array[Point], region: Rect, vertical: Boolean): Node = {
       if (ps.length <= B) {
-        new Leaf(mutable.ArrayBuffer(ps.toIndexedSeq: _*))
+        new Leaf(mutable.ArrayBuffer.from(ps), region)
       } else {
         // Number of halvings so each child gets roughly <= B points at
         // the next level or recurses further; fanout capped at B.
@@ -218,17 +96,8 @@ object KdbTree {
           }
           l += 1
         }
-        val kept = groups.filter(_._1.nonEmpty)
-        val children = mutable.ArrayBuffer.empty[Node]
-        val regions = mutable.ArrayBuffer.empty[Rect]
-        val inner = new Inner(children, regions)
-        for ((g, reg, vert) <- kept) {
-          val ch = buildNode(g, reg, vert)
-          ch.parent = inner
-          children += ch
-          regions += reg
-        }
-        inner
+        val children = groups.collect { case (g, reg, vert) if g.nonEmpty => buildNode(g, reg, vert) }
+        new Inner(mutable.ArrayBuffer.from(children), region)
       }
     }
 

@@ -1,7 +1,5 @@
 package repro.baselines
 
-import scala.collection.mutable
-import repro.harness.SpatialIndexApi
 import repro.spatial._
 
 /** R*-tree family baseline standing in for the Revised R*-tree (RR*)
@@ -14,119 +12,24 @@ import repro.spatial._
   * construction is slower than the bulk-loaded competitors and its
   * nodes are less compact.
   *
-  * Node capacity B entries, minimum fill 40% on splits. Every node
-  * visit counts one block access.
+  * Node capacity B entries, minimum fill 40% on splits; queries and
+  * the insert descent are the [[BlockTree]] core's.
   */
-final class RStarTree(val B: Int) extends SpatialIndexApi {
-  import RStarTree._
+final class RStarTree(B: Int) extends BlockTree(B) {
+  import BlockTree._
 
   val name = "RR*"
   private val minFill = math.max(1, (B * 0.4).toInt)
-  private[baselines] var root: Node = new Leaf(mutable.ArrayBuffer.empty, Rect.empty)
-  private var accessCount: Long = 0L
-  private def touch(): Unit = accessCount += 1
-
-  def blockAccesses: Long = accessCount
-  def resetCounters(): Unit = accessCount = 0L
-
-  def height: Int = {
-    def h(n: Node): Int = n match {
-      case _: Leaf   => 1
-      case in: Inner => 1 + in.children.iterator.map(h).max
-    }
-    h(root)
-  }
-
-  def sizeBytes: Long = {
-    def sz(n: Node): Long = n match {
-      case lf: Leaf  => 24L * lf.pts.length + 48L
-      case in: Inner => 48L + in.children.iterator.map(c => 40L + sz(c)).sum
-    }
-    sz(root)
-  }
-
-  // ------------------------------------------------------------- queries
-
-  def pointQuery(x: Double, y: Double): Option[Point] = {
-    def search(nd: Node): Option[Point] = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          val i = lf.indexOf(x, y)
-          if (i >= 0) Some(lf.pts(i)) else None
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            val c = in.children(ci)
-            if (c.mbr.contains(x, y)) {
-              val r = search(c)
-              if (r.isDefined) return r
-            }
-            ci += 1
-          }
-          None
-      }
-    }
-    search(root)
-  }
-
-  def windowQuery(r: Rect): Seq[Point] = {
-    val out = mutable.ArrayBuffer.empty[Point]
-    def walk(nd: Node): Unit = {
-      touch()
-      nd match {
-        case lf: Leaf =>
-          var i = 0
-          while (i < lf.pts.length) {
-            val p = lf.pts(i)
-            if (r.contains(p)) out += p
-            i += 1
-          }
-        case in: Inner =>
-          var ci = 0
-          while (ci < in.children.length) {
-            if (in.children(ci).mbr.intersects(r)) walk(in.children(ci))
-            ci += 1
-          }
-      }
-    }
-    walk(root)
-    out.toSeq
-  }
-
-  def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    BestFirst.knn(qx, qy, k, root, root.mbr.minDist2(qx, qy)) { nd =>
-      touch()
-      nd match {
-        case lf: Leaf  => (Seq.empty, lf.pts.toSeq)
-        case in: Inner =>
-          (in.children.map(c => (c.mbr.minDist2(qx, qy), c)).toSeq, Seq.empty)
-      }
-    }
-
-  // ------------------------------------------------------------- insert
+  root = Leaf.of(Nil)
 
   /** R* ChooseSubtree: at the level above the leaves minimize overlap
     * enlargement (ties: area enlargement, then area); higher up
     * minimize area enlargement.
     */
-  private def chooseChild(in: Inner, p: Point): Node = {
+  private[baselines] def chooseChild(in: Inner, p: Point): Node = {
     val leafLevel = in.children.head.isInstanceOf[Leaf]
-    if (!leafLevel) {
-      var best: Node = null
-      var bestEnl = Double.PositiveInfinity
-      var bestArea = Double.PositiveInfinity
-      var ci = 0
-      while (ci < in.children.length) {
-        val c = in.children(ci)
-        val enl = c.mbr.expand(p.x, p.y).area - c.mbr.area
-        if (enl < bestEnl || (enl == bestEnl && c.mbr.area < bestArea)) {
-          best = c; bestEnl = enl; bestArea = c.mbr.area
-        }
-        ci += 1
-      }
-      best
-    } else {
+    if (!leafLevel) leastEnlargement(in, p)
+    else {
       // R* optimization: evaluate overlap enlargement only for the
       // `ChooseSubtreeP` children with least area enlargement.
       val cand = in.children
@@ -173,39 +76,13 @@ final class RStarTree(val B: Int) extends SpatialIndexApi {
     }
   }
 
-  private def split(nd: Node): (Node, Node) = nd match {
+  private[baselines] def split(nd: Node): (Node, Node) = nd match {
     case lf: Leaf =>
       val (a, b) = splitEntries(lf.pts.toIndexedSeq, (p: Point) => Rect(p.x, p.y, p.x, p.y))
       (Leaf.of(a), Leaf.of(b))
     case in: Inner =>
       val (a, b) = splitEntries(in.children.toIndexedSeq, (c: Node) => c.mbr)
       (Inner.of(a), Inner.of(b))
-  }
-
-  def insert(p: Point): Unit = {
-    def descend(nd: Node): Option[(Node, Node)] = {
-      touch()
-      nd.mbr = nd.mbr.expand(p.x, p.y)
-      nd match {
-        case lf: Leaf =>
-          lf.pts += p
-          if (lf.pts.length > B) Some(split(lf)) else None
-        case in: Inner =>
-          val child = chooseChild(in, p)
-          descend(child) match {
-            case None => None
-            case Some((a, b)) =>
-              val idx = in.children.indexOf(child)
-              in.children(idx) = a
-              in.children.insert(idx + 1, b)
-              if (in.children.length > B) Some(split(in)) else None
-          }
-      }
-    }
-    descend(root) match {
-      case None =>
-      case Some((a, b)) => root = Inner.of(IndexedSeq(a, b))
-    }
   }
 }
 
@@ -214,28 +91,6 @@ object RStarTree {
     * heuristic, scaled to our fanout).
     */
   val ChooseSubtreeP = 16
-
-  private[baselines] sealed trait Node { var mbr: Rect }
-  private[baselines] final class Leaf(val pts: mutable.ArrayBuffer[Point], var mbr: Rect) extends Node {
-    def indexOf(x: Double, y: Double): Int = {
-      var i = 0
-      while (i < pts.length) {
-        if (pts(i).x == x && pts(i).y == y) return i
-        i += 1
-      }
-      -1
-    }
-  }
-  private[baselines] object Leaf {
-    def of(ps: collection.Seq[Point]): Leaf =
-      new Leaf(mutable.ArrayBuffer(ps.toIndexedSeq: _*), Rect.mbrOf(ps.toIndexedSeq))
-  }
-  private[baselines] final class Inner(val children: mutable.ArrayBuffer[Node], var mbr: Rect) extends Node
-  private[baselines] object Inner {
-    def of(cs: collection.Seq[Node]): Inner =
-      new Inner(mutable.ArrayBuffer(cs.toIndexedSeq: _*),
-        cs.foldLeft(Rect.empty)((r, c) => r.union(c.mbr)))
-  }
 
   /** Build by repeated insertion (the paper's construction for RR*). */
   def build(pts: Array[Point], B: Int = 100): RStarTree = {

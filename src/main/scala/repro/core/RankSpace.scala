@@ -1,7 +1,7 @@
 package repro.core
 
 import org.apache.spark.sql.DataFrame
-import repro.spatial.Point
+import repro.spatial.{Hilbert, Point}
 
 /** Rank-space transformation (§3.1, from the R-tree packing work
   * [37, 38]).
@@ -43,6 +43,20 @@ object RankSpace {
     while (i < n) { rankY(byY(i)) = i; i += 1 }
 
     (rankX, rankY)
+  }
+
+  /** §3.1 steps 1–3: `pts` ordered by the Hilbert curve value of
+    * their rank-space cells (a bijection, so no two points tie). HRR
+    * packs its leaves in this order, and each RSMI leaf its blocks.
+    */
+  def hilbertOrder(pts: Array[Point]): Array[Point] = {
+    val n = pts.length
+    val (rankX, rankY) = ranks(pts)
+    val order = Hilbert.orderFor(n)
+    val cv = new Array[Long](n)
+    var i = 0
+    while (i < n) { cv(i) = Hilbert.xy2d(order, rankX(i), rankY(i)); i += 1 }
+    Array.tabulate(n)(identity).sortWith((a, b) => cv(a) < cv(b)).map(pts(_))
   }
 
   /** Spark transform: adds a `rank_x` column, each point's x-rank with

@@ -321,50 +321,39 @@ final class Rsmi(
   def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
     ExpandingKnn.knn(store, pmfX, pmfY, cardinality, cfg.delta, qx, qy, k)(windowRange)
 
-  /** Exact kNN via best-first traversal (RSMIa with MBRs). The queue
-    * holds sub-models and blocks keyed by MINDIST and points keyed by
-    * distance, as refs: a point's [[Slot]] bits (>= 0), block `b` as
-    * `-1 - b`, and the `j`-th queued node as `Long.MinValue + j`.
+  /** Exact kNN via best-first traversal (RSMIa with MBRs): sub-models
+    * and blocks are queued by MINDIST², a block's points by distance².
+    * Children go in slot order, a leaf's blocks in chain order, a
+    * block's points in slot order.
     */
-  def knnQueryExact(qx: Double, qy: Double, k: Int): Seq[Point] = {
-    require(k >= 1)
-    val nodes = mutable.ArrayBuffer[RsmiNode](root)
-    val pq = new DistHeap(64)
-    pq.push(root.mbr.minDist2(qx, qy), Long.MinValue)
-    val out = mutable.ArrayBuffer.empty[Point]
-    while (out.size < k && !pq.isEmpty) {
-      val ref = pq.topRef
-      pq.pop()
-      if (ref >= 0) {
-        val s = new Slot(ref)
-        out += store.peek(s.block).point(s.index)
-      } else if (ref >= -1L - Int.MaxValue) {
-        val blk = store.read((-1L - ref).toInt)
-        val xs = blk.xs; val ys = blk.ys
-        var i = 0
-        while (i < blk.size) {
-          val dx = xs(i) - qx; val dy = ys(i) - qy
-          pq.push(dx * dx + dy * dy, Slot(blk.id, i).bits)
-          i += 1
-        }
-      } else nodes((ref - Long.MinValue).toInt) match {
+  def knnQueryExact(qx: Double, qy: Double, k: Int): Seq[Point] =
+    new BestFirst[AnyRef] {
+      protected def expand(node: AnyRef): Unit = node match {
+        case b: Block =>
+          val blk = store.read(b.id)
+          val xs = blk.xs; val ys = blk.ys
+          var i = 0
+          while (i < blk.size) {
+            val dx = xs(i) - qx; val dy = ys(i) - qy
+            pushPoint(dx * dx + dy * dy, i)
+            i += 1
+          }
         case in: InternalNode =>
-          in.children.foreach { ch =>
-            if (ch != null) {
-              pq.push(ch.mbr.minDist2(qx, qy), Long.MinValue + nodes.size)
-              nodes += ch
-            }
+          var c = 0
+          while (c < in.children.length) {
+            val ch = in.children(c)
+            if (ch != null) pushNode(ch.mbr.minDist2(qx, qy), ch)
+            c += 1
           }
         case lf: LeafNode =>
           var blk = store.rangeStart(lf.firstBlk)
           while (blk != null) {
-            pq.push(blk.mbr.minDist2(qx, qy), -1L - blk.id)
+            pushNode(blk.mbr.minDist2(qx, qy), blk)
             blk = store.rangeNext(blk, lf.lastBlk)
           }
       }
-    }
-    out.toSeq
-  }
+      protected def point(node: AnyRef, slot: Int): Point = node.asInstanceOf[Block].point(slot)
+    }.knn(root, root.mbr.minDist2(qx, qy), k)
 
   // -------------------------------------------------------------- updates
 

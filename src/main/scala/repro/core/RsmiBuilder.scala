@@ -30,13 +30,7 @@ object RsmiBuilder {
   def trainLeaf(pts: Array[Point], cfg: RsmiConfig, seed: Long): LeafResult = {
     val n = pts.length
     require(n > 0, "empty leaf partition")
-    val (rankX, rankY) = RankSpace.ranks(pts)
-    val order = Hilbert.orderFor(n)
-    val cv = new Array[Long](n)
-    var i = 0
-    while (i < n) { cv(i) = Hilbert.xy2d(order, rankX(i), rankY(i)); i += 1 }
-    val byCv = Array.tabulate(n)(identity).sortWith((a, b) => cv(a) < cv(b))
-    val ordered = byCv.map(pts(_))
+    val ordered = RankSpace.hilbertOrder(pts)
 
     val numBlks = (n + cfg.B - 1) / cfg.B
     val scale = math.max(1, numBlks - 1)
@@ -47,7 +41,7 @@ object RsmiBuilder {
     val mlp = new Mlp(2, hidden, seed)
     val xs = new Array[Double](2 * n)
     val ys = new Array[Double](n)
-    i = 0
+    var i = 0
     while (i < n) {
       val p = ordered(i)
       xs(2 * i) = norm.nx(p.x)

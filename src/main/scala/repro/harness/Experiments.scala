@@ -40,8 +40,13 @@ object Experiments {
 
   private def fmt(v: Double): String = if (v >= 100) f"$v%.0f" else f"$v%.2f"
 
-  /** Average (time µs, block accesses) per point query over a sample. */
+  /** Average (time µs, block accesses) per point query over a sample.
+    * Like the window and kNN helpers below, it runs every query once
+    * untimed first, so an index is not timed on a cold JIT just because
+    * it ran first, then counts accesses over the timed pass only.
+    */
   def measurePointQueries(idx: SpatialIndexApi, qs: Array[Point]): (Double, Double) = {
+    qs.foreach(q => idx.pointQuery(q.x, q.y))
     idx.resetCounters()
     val t0 = System.nanoTime()
     var i = 0
@@ -55,6 +60,7 @@ object Experiments {
     */
   def measureWindowQueries(idx: SpatialIndexApi,
                            qs: Array[(Rect, Set[Long])]): (Double, Double, Double) = {
+    qs.foreach { case (r, _) => idx.windowQuery(r) }
     idx.resetCounters()
     var totalNs = 0L
     var recallSum = 0.0
@@ -73,6 +79,8 @@ object Experiments {
     */
   def measureKnnQueries(idx: SpatialIndexApi,
                         qs: Array[(Point, Harness.KnnTruth)], k: Int): (Double, Double) = {
+    qs.foreach { case (q, _) => idx.knnQuery(q.x, q.y, k) }
+    idx.resetCounters()
     var totalNs = 0L
     var recallSum = 0.0
     qs.foreach { case (q, truth) =>

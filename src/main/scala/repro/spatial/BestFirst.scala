@@ -1,35 +1,62 @@
 package repro.spatial
 
-/** Generic best-first kNN traversal [Roussopoulos et al. 1995],
-  * shared by the tree baselines (KDB, HRR, RR*). RSMIa's
-  * `Rsmi.knnQueryExact` runs the same traversal with its own queue.
-  *
-  * The priority queue holds both index entries (`Left`, keyed by
-  * MINDIST of their region) and points (`Right`, keyed by actual
-  * distance). When a point reaches the head of the queue no unexpanded
-  * entry can contain anything closer, so it is a confirmed neighbour.
-  */
-object BestFirst {
+import scala.collection.mutable
 
-  /** @param expand given an entry, emit (mindist², child) index entries
-    *               and the points it directly contains; the caller
-    *               performs its own block-access accounting inside.
+/** Best-first kNN traversal [Roussopoulos et al. 1995], the one exact
+  * kNN walk of the comparison: the tree baselines (KDB, HRR, RR*)
+  * run it through `BlockTree.knnQuery`, RSMIa through
+  * `Rsmi.knnQueryExact`.
+  *
+  * One [[DistHeap]] holds both index entries, keyed by the MINDIST² of
+  * their region, and points, keyed by their distance². When a point
+  * reaches the top no unexpanded entry can contain anything closer, so
+  * it is a confirmed neighbour. A caller supplies only the expand step:
+  * [[expand]] queues a node's children with [[pushNode]] or the points
+  * it holds with [[pushPoint]], and [[point]] names the point in a slot
+  * of a node. Queued nodes go into one table, so a heap ref is either
+  * a node's table index `j` (as `Long.MinValue + j`) or a point's
+  * `j << 32 | slot`; queuing an entry and expanding a node allocate
+  * nothing.
+  *
+  * `DistHeap` pops in the order a `java.util.PriorityQueue` on the key
+  * would for the same pushes, ties included, so the walk visits what
+  * the same walk over such a queue visits. An instance answers one
+  * query.
+  */
+abstract class BestFirst[N <: AnyRef] {
+  private val heap = new DistHeap(64)
+  private val nodes = mutable.ArrayBuffer.empty[N]
+  private var expanding = 0
+
+  /** Queues the entries of `node`, charging its block accesses. */
+  protected def expand(node: N): Unit
+
+  /** The point that [[expand]] of `node` queued for `slot`. */
+  protected def point(node: N, slot: Int): Point
+
+  protected final def pushNode(d2: Double, node: N): Unit = {
+    heap.push(d2, Long.MinValue + nodes.length)
+    nodes += node
+  }
+
+  /** Queues the point in `slot` (>= 0) of the node being expanded. */
+  protected final def pushPoint(d2: Double, slot: Int): Unit =
+    heap.push(d2, expanding.toLong << 32 | slot)
+
+  /** The k nearest points, nearest first, below `root`, whose MINDIST²
+    * is `rootDist2`.
     */
-  def knn[N](qx: Double, qy: Double, k: Int, root: N, rootDist2: Double)(
-      expand: N => (Seq[(Double, N)], Seq[Point])): Seq[Point] = {
+  final def knn(root: N, rootDist2: Double, k: Int): Seq[Point] = {
     require(k >= 1)
-    final case class E(d2: Double, entry: Either[N, Point])
-    val pq = new java.util.PriorityQueue[E](64,
-      (a: E, b: E) => java.lang.Double.compare(a.d2, b.d2))
-    pq.add(E(rootDist2, Left(root)))
-    val out = scala.collection.mutable.ArrayBuffer.empty[Point]
-    while (out.size < k && !pq.isEmpty) {
-      pq.poll().entry match {
-        case Right(p) => out += p
-        case Left(n) =>
-          val (children, points) = expand(n)
-          children.foreach { case (d2, c) => pq.add(E(d2, Left(c))) }
-          points.foreach(p => pq.add(E(p.dist2(qx, qy), Right(p))))
+    pushNode(rootDist2, root)
+    val out = mutable.ArrayBuffer.empty[Point]
+    while (out.size < k && !heap.isEmpty) {
+      val ref = heap.topRef
+      heap.pop()
+      if (ref >= 0) out += point(nodes((ref >>> 32).toInt), ref.toInt)
+      else {
+        expanding = (ref - Long.MinValue).toInt
+        expand(nodes(expanding))
       }
     }
     out.toSeq

@@ -1,14 +1,14 @@
 package repro.spatial
 
 /** A binary min-heap of (key, ref) pairs kept in two primitive arrays:
-  * `Double` keys (squared distances) and `Long` refs (a [[Slot]]'s bits,
-  * or a caller's own encoding), so queueing a candidate allocates
-  * nothing. RSMIa's best-first kNN (`Rsmi.knnQueryExact`) runs on it.
+  * `Double` keys (squared distances) and `Long` refs (the caller's own
+  * encoding), so queueing a candidate allocates nothing. [[BestFirst]],
+  * the exact kNN of the tree baselines and of RSMIa, runs on it.
   *
   * `push` and `pop` sift exactly as `java.util.PriorityQueue` does with
   * a comparator on the key, so a sequence of pushes and pops visits
-  * entries in the same order as that queue would, ties included. Keys
-  * must not be NaN.
+  * entries in the same order as that queue would, ties included
+  * (`DistHeapSpec`). Keys must not be NaN.
   */
 final class DistHeap(initialCapacity: Int) {
   private var keys = new Array[Double](math.max(1, initialCapacity))

@@ -54,19 +54,19 @@ class HrrTreeSpec extends AnyFunSuite {
 
   test("leaves hold at most B points (packing invariant)") {
     val (_, t) = buildOn(SpatialData.Normal, 3210)
-    def walk(n: HrrTree.Node): Unit = n match {
-      case lf: HrrTree.Leaf  => assert(lf.pts.length <= 50)
-      case in: HrrTree.Inner => in.children.foreach(walk)
+    def walk(n: BlockTree.Node): Unit = n match {
+      case lf: BlockTree.Leaf  => assert(lf.pts.length <= 50)
+      case in: BlockTree.Inner => in.children.foreach(walk)
     }
     walk(t.root)
   }
 
   test("node MBRs contain their subtrees") {
     val (_, t) = buildOn(SpatialData.OsmLike, 2000)
-    def walk(n: HrrTree.Node): Unit = n match {
-      case lf: HrrTree.Leaf =>
+    def walk(n: BlockTree.Node): Unit = n match {
+      case lf: BlockTree.Leaf =>
         lf.pts.foreach(p => assert(lf.mbr.contains(p)))
-      case in: HrrTree.Inner =>
+      case in: BlockTree.Inner =>
         in.children.foreach { c =>
           assert(in.mbr.containsRect(c.mbr))
           walk(c)

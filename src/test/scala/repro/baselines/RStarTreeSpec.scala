@@ -42,9 +42,9 @@ class RStarTreeSpec extends AnyFunSuite {
 
   test("nodes never exceed capacity B") {
     val (_, t) = buildOn(SpatialData.Skewed, 3000)
-    def walk(n: RStarTree.Node): Unit = n match {
-      case lf: RStarTree.Leaf  => assert(lf.pts.length <= 50)
-      case in: RStarTree.Inner =>
+    def walk(n: BlockTree.Node): Unit = n match {
+      case lf: BlockTree.Leaf  => assert(lf.pts.length <= 50)
+      case in: BlockTree.Inner =>
         assert(in.children.length <= 50)
         in.children.foreach(walk)
     }
@@ -53,10 +53,10 @@ class RStarTreeSpec extends AnyFunSuite {
 
   test("splits respect the 40% minimum fill") {
     val (_, t) = buildOn(SpatialData.Uniform, 3000)
-    def walk(n: RStarTree.Node, isRoot: Boolean): Unit = n match {
-      case lf: RStarTree.Leaf =>
+    def walk(n: BlockTree.Node, isRoot: Boolean): Unit = n match {
+      case lf: BlockTree.Leaf =>
         if (!isRoot) assert(lf.pts.length >= 1)
-      case in: RStarTree.Inner =>
+      case in: BlockTree.Inner =>
         if (!isRoot) assert(in.children.length >= 2)
         in.children.foreach(walk(_, isRoot = false))
     }
@@ -65,10 +65,10 @@ class RStarTreeSpec extends AnyFunSuite {
 
   test("MBRs contain their subtrees") {
     val (_, t) = buildOn(SpatialData.TigerLike, 2000)
-    def walk(n: RStarTree.Node): Unit = n match {
-      case lf: RStarTree.Leaf =>
+    def walk(n: BlockTree.Node): Unit = n match {
+      case lf: BlockTree.Leaf =>
         lf.pts.foreach(p => assert(lf.mbr.contains(p)))
-      case in: RStarTree.Inner =>
+      case in: BlockTree.Inner =>
         in.children.foreach { c =>
           assert(in.mbr.containsRect(c.mbr))
           walk(c)
