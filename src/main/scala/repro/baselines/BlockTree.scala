@@ -1,5 +1,6 @@
 package repro.baselines
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.harness.SpatialIndexApi
 import repro.spatial._
@@ -105,14 +106,14 @@ abstract class BlockTree(val B: Int) extends SpatialIndexApi {
       }
     }
     walk(root)
-    out.toSeq
+    ArraySeq.unsafeWrapArray(out.toArray)
   }
 
   /** Exact best-first kNN: children are queued in array order by
     * MINDIST², a leaf's points in slot order by distance².
     */
   final def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    new BestFirst[Node] {
+    new BestFirst[Node](k, B) {
       protected def expand(nd: Node): Unit = {
         touch()
         nd match {
@@ -129,7 +130,7 @@ abstract class BlockTree(val B: Int) extends SpatialIndexApi {
         }
       }
       protected def point(nd: Node, slot: Int): Point = nd.asInstanceOf[Leaf].pts(slot)
-    }.knn(root, root.mbr.minDist2(qx, qy), k)
+    }.knn(root, root.mbr.minDist2(qx, qy))
 
   final def insert(p: Point): Unit = {
     val halves = insertBelow(root, p)

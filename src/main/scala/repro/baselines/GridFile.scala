@@ -1,5 +1,6 @@
 package repro.baselines
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.harness.SpatialIndexApi
 import repro.spatial._
@@ -67,7 +68,7 @@ final class GridFile private (
       }
       cy += 1
     }
-    out.toSeq
+    ArraySeq.unsafeWrapArray(out.toArray)
   }
 
   /** Exact kNN by expanding rings of cells: after processing every cell

@@ -1,5 +1,6 @@
 package repro.core
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.spatial._
 
@@ -294,7 +295,9 @@ final class Rsmi(
   }
 
   /** RSMIa exact window query: R-tree-style traversal over sub-model
-    * MBRs, then block-MBR filtered scans at the leaves.
+    * MBRs, then, at each leaf, a read of every block whose MBR meets
+    * `r`. A block the MBR shows to lie inside `r` is returned whole,
+    * without a per-point test ([[Block.filterInto]]).
     */
   def windowQueryExact(r: Rect): Seq[Point] = {
     val out = mutable.ArrayBuffer.empty[Point]
@@ -309,7 +312,7 @@ final class Rsmi(
         }
     }
     walk(root)
-    out.toSeq
+    ArraySeq.unsafeWrapArray(out.toArray)
   }
 
   // ------------------------------------------------------------ kNN query
@@ -327,7 +330,7 @@ final class Rsmi(
     * block's points in slot order.
     */
   def knnQueryExact(qx: Double, qy: Double, k: Int): Seq[Point] =
-    new BestFirst[AnyRef] {
+    new BestFirst[AnyRef](k, store.capacity) {
       protected def expand(node: AnyRef): Unit = node match {
         case b: Block =>
           val blk = store.read(b.id)
@@ -353,7 +356,7 @@ final class Rsmi(
           }
       }
       protected def point(node: AnyRef, slot: Int): Point = node.asInstanceOf[Block].point(slot)
-    }.knn(root, root.mbr.minDist2(qx, qy), k)
+    }.knn(root, root.mbr.minDist2(qx, qy))
 
   // -------------------------------------------------------------- updates
 

@@ -1,5 +1,6 @@
 package repro.spatial
 
+import scala.collection.immutable.ArraySeq
 import scala.collection.mutable.ArrayBuffer
 
 /** One simulated disk block of capacity `capacity`.
@@ -76,16 +77,26 @@ final class Block(val id: Int, val ord: Int, val inserted: Boolean, capacity: In
     -1
   }
 
-  /** Appends the live points inside `r` (edges included) to `out`. */
-  def filterInto(r: Rect, out: ArrayBuffer[Point]): Unit = {
-    val xlo = r.xlo; val ylo = r.ylo; val xhi = r.xhi; val yhi = r.yhi
-    var i = 0
-    while (i < n) {
-      val x = xCol(i); val y = yCol(i)
-      if (x >= xlo && x <= xhi && y >= ylo && y <= yhi) out += Point(idCol(i), x, y)
-      i += 1
+  /** Appends the live points inside `r` (edges included) to `out`, in
+    * slot order. The block's MBR covers every live point, so it gates
+    * the per-point test: a block whose MBR misses `r` appends nothing,
+    * and one whose MBR lies inside `r` appends all its points untested.
+    * Only a block that `r` straddles is filtered point by point.
+    */
+  def filterInto(r: Rect, out: ArrayBuffer[Point]): Unit =
+    if (mbr.intersects(r)) {
+      var i = 0
+      if (r.containsRect(mbr))
+        while (i < n) { out += Point(idCol(i), xCol(i), yCol(i)); i += 1 }
+      else {
+        val xlo = r.xlo; val ylo = r.ylo; val xhi = r.xhi; val yhi = r.yhi
+        while (i < n) {
+          val x = xCol(i); val y = yCol(i)
+          if (x >= xlo && x <= xhi && y >= ylo && y <= yhi) out += Point(idCol(i), x, y)
+          i += 1
+        }
+      }
     }
-  }
 }
 
 /** Where a point lives: block id and slot, packed in one Long so a
@@ -249,11 +260,15 @@ final class BlockStore(val capacity: Int) extends Serializable {
     }
   }
 
-  /** Alg 2's scan: the points inside `r` of the blocks `scanRange(a, b)` visits. */
+  /** Alg 2's scan: the points inside `r` of the blocks `scanRange(a, b)`
+    * visits, in visiting order. Every visited block is charged one
+    * access whatever its MBR; the MBR only decides how
+    * [[Block.filterInto]] filters it.
+    */
   def windowScan(a: Int, b: Int, r: Rect): Seq[Point] = {
     val out = ArrayBuffer.empty[Point]
     scanRange(a, b) { blk => blk.filterInto(r, out); true }
-    out.toSeq
+    ArraySeq.unsafeWrapArray(out.toArray)
   }
 
   /** Live points across all blocks (tests / rebuild). */

@@ -1,5 +1,7 @@
 package repro.spatial
 
+import scala.collection.immutable.ArraySeq
+
 /** A binary min-heap of (key, ref) pairs kept in two primitive arrays:
   * `Double` keys (squared distances) and `Long` refs (the caller's own
   * encoding), so queueing a candidate allocates nothing. [[BestFirst]],
@@ -115,7 +117,7 @@ final class KNearest(k: Int, qx: Double, qy: Double, store: BlockStore) {
       out(i) = store.peek(s.block).point(s.index)
       i += 1
     }
-    out.toSeq
+    ArraySeq.unsafeWrapArray(out)
   }
 
   /** Room for at least `len` candidates (a large k fills the first

@@ -78,6 +78,19 @@ object Rect {
 
   val unit: Rect = Rect(0.0, 0.0, 1.0, 1.0)
 
-  def mbrOf(points: Iterable[Point]): Rect =
-    points.foldLeft(empty)((r, p) => r.expand(p.x, p.y))
+  /** The tightest rectangle over `points`, [[empty]] for none; builds
+    * one `Rect`, not one per point.
+    */
+  def mbrOf(points: Iterable[Point]): Rect = {
+    val it = points.iterator
+    if (!it.hasNext) return empty
+    val p = it.next()
+    var xlo = p.x; var ylo = p.y; var xhi = p.x; var yhi = p.y
+    while (it.hasNext) {
+      val q = it.next()
+      xlo = math.min(xlo, q.x); ylo = math.min(ylo, q.y)
+      xhi = math.max(xhi, q.x); yhi = math.max(yhi, q.y)
+    }
+    Rect(xlo, ylo, xhi, yhi)
+  }
 }

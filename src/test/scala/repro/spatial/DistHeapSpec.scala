@@ -17,9 +17,9 @@ class DistHeapSpec extends AnyFunSuite {
   /** Runs `ops` random operations, pushes of keys drawn from `distinct`
     * values or pops (when non-empty), and compares every pop.
     */
-  private def check(seed: Long, distinct: Int, ops: Int, popShare: Double): Unit = {
+  private def check(seed: Long, distinct: Int, ops: Int, popShare: Double, capacity: Int = 1): Unit = {
     val rnd = new java.util.Random(seed)
-    val heap = new DistHeap(1)
+    val heap = new DistHeap(capacity)
     val pq = new java.util.PriorityQueue[Entry](
       (a: Entry, b: Entry) => java.lang.Double.compare(a.key, b.key))
     val popped = ArrayBuffer.empty[(Double, Long)]
@@ -43,7 +43,7 @@ class DistHeapSpec extends AnyFunSuite {
     }
     while (!pq.isEmpty) pop()
     assert(heap.isEmpty)
-    assert(popped === expected, s"seed=$seed distinct=$distinct popShare=$popShare")
+    assert(popped === expected, s"seed=$seed distinct=$distinct popShare=$popShare capacity=$capacity")
   }
 
   test("pops in PriorityQueue order under heavy ties, pushes and pops interleaved") {
@@ -57,5 +57,10 @@ class DistHeapSpec extends AnyFunSuite {
 
   test("pops in PriorityQueue order when everything is pushed first") {
     for (seed <- 31L to 40L; distinct <- Seq(1, 4, 50)) check(seed, distinct, ops = 500, popShare = 0.0)
+  }
+
+  test("pops in PriorityQueue order whatever room it starts with") {
+    for (seed <- 41L to 45L; capacity <- Seq(1, 64, 300, 4096))
+      check(seed, distinct = 5, ops = 1500, popShare = 0.25, capacity)
   }
 }

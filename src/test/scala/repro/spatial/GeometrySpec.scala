@@ -79,6 +79,21 @@ class GeometrySpec extends AnyFunSuite {
 
   test("Rect.mbrOf of empty collection is empty") {
     assert(Rect.mbrOf(Seq.empty).isEmpty)
+    assert(Rect.mbrOf(Array.empty[Point]) === Rect.empty)
+  }
+
+  test("Rect.mbrOf equals the fold of expand, bit for bit") {
+    def bits(r: Rect) = Seq(r.xlo, r.ylo, r.xhi, r.yhi).map(java.lang.Double.doubleToRawLongBits)
+    val rnd = new java.util.Random(5)
+    val inputs = Seq(
+      Seq(Point(1, 0.3, 0.4)),
+      Seq(Point(1, -0.0, 0.0), Point(2, 0.0, -0.0)),
+      Seq(Point(1, 0.0, -0.0), Point(2, -0.0, 0.0)),
+      Seq(Point(1, -1e300, 1e-300), Point(2, Double.MinPositiveValue, -5.0), Point(3, 2.0, 2.0)),
+      Seq.tabulate(500)(i => Point(i, rnd.nextGaussian(), rnd.nextGaussian())))
+    inputs.foreach { pts =>
+      assert(bits(Rect.mbrOf(pts)) === bits(pts.foldLeft(Rect.empty)((r, p) => r.expand(p.x, p.y))), pts.take(3))
+    }
   }
 
   test("center coordinates") {
