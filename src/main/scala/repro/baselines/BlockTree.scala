@@ -110,7 +110,8 @@ abstract class BlockTree(val B: Int) extends SpatialIndexApi {
   }
 
   /** Exact best-first kNN: children are queued in array order by
-    * MINDIST², a leaf's points in slot order by distance².
+    * MINDIST², a leaf's points offered to the k best in slot order by
+    * distance² ([[BestFirst]]).
     */
   final def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
     new BestFirst[Node](k, B) {

@@ -325,9 +325,9 @@ final class Rsmi(
     ExpandingKnn.knn(store, pmfX, pmfY, cardinality, cfg.delta, qx, qy, k)(windowRange)
 
   /** Exact kNN via best-first traversal (RSMIa with MBRs): sub-models
-    * and blocks are queued by MINDIST², a block's points by distance².
-    * Children go in slot order, a leaf's blocks in chain order, a
-    * block's points in slot order.
+    * and blocks are queued by MINDIST², a block's points offered to the
+    * k best by distance² ([[BestFirst]]). Children go in slot order, a
+    * leaf's blocks in chain order, a block's points in slot order.
     */
   def knnQueryExact(qx: Double, qy: Double, k: Int): Seq[Point] =
     new BestFirst[AnyRef](k, store.capacity) {

@@ -73,12 +73,13 @@ object Experiments {
     (totalNs / 1e6 / qs.length, recallSum / qs.length, idx.blockAccesses.toDouble / qs.length)
   }
 
-  /** Average (time ms, recall) per kNN query against precomputed
-    * (query, truth) pairs; recall is [[Harness.KnnTruth.recall]], so a
-    * point tied with the true k-th counts as correct.
+  /** Average (time ms, recall, block accesses) per kNN query against
+    * precomputed (query, truth) pairs; recall is
+    * [[Harness.KnnTruth.recall]], so a point tied with the true k-th
+    * counts as correct.
     */
   def measureKnnQueries(idx: SpatialIndexApi,
-                        qs: Array[(Point, Harness.KnnTruth)], k: Int): (Double, Double) = {
+                        qs: Array[(Point, Harness.KnnTruth)], k: Int): (Double, Double, Double) = {
     qs.foreach { case (q, _) => idx.knnQuery(q.x, q.y, k) }
     idx.resetCounters()
     var totalNs = 0L
@@ -89,7 +90,7 @@ object Experiments {
       totalNs += System.nanoTime() - t0
       recallSum += truth.recall(got, q.x, q.y)
     }
-    (totalNs / 1e6 / qs.length, recallSum / qs.length)
+    (totalNs / 1e6 / qs.length, recallSum / qs.length, idx.blockAccesses.toDouble / qs.length)
   }
 
   def windowQuerySet(pts: Array[Point], nQueries: Int, areaFrac: Double,
@@ -223,8 +224,8 @@ object Experiments {
       val pts = SpatialData.local(d, n)
       val qs = knnQuerySet(pts, nQueries, k)
       Harness.buildAll(pts, defaultCfg).map { b =>
-        val (ms, rec) = measureKnnQueries(b.index, qs, k)
-        f"[Fig14] dist=${d.name}%-8s index=${b.index.name}%-5s time_ms=$ms%-9.3f recall=$rec%.3f"
+        val (ms, rec, blk) = measureKnnQueries(b.index, qs, k)
+        f"[Fig14] dist=${d.name}%-8s index=${b.index.name}%-5s time_ms=$ms%-9.3f recall=$rec%.3f blk=${fmt(blk)}"
       }
     })
   }
@@ -237,8 +238,8 @@ object Experiments {
     emit(ks.flatMap { k =>
       val qs = knnQuerySet(pts, nQueries, k)
       built.map { b =>
-        val (ms, rec) = measureKnnQueries(b.index, qs, k)
-        f"[Fig16] k=$k%-4d index=${b.index.name}%-5s time_ms=$ms%-9.3f recall=$rec%.3f"
+        val (ms, rec, blk) = measureKnnQueries(b.index, qs, k)
+        f"[Fig16] k=$k%-4d index=${b.index.name}%-5s time_ms=$ms%-9.3f recall=$rec%.3f blk=${fmt(blk)}"
       }
     })
   }
@@ -277,7 +278,7 @@ object Experiments {
           else Harness.timeNanos(batch.foreach(b.index.insert))._2
         val (pus, pblk) = measurePointQueries(b.index, pqs)
         val (wms, wrec, _) = measureWindowQueries(b.index, wqs)
-        val (kms, krec) = measureKnnQueries(b.index, kqs, 25)
+        val (kms, krec, _) = measureKnnQueries(b.index, kqs, 25)
         lines += f"[Fig17] ins_pct=$pct%-3d index=${b.index.name}%-5s ins_us=${ns / 1000.0 / math.max(1, batch.length)}%-8.2f " +
           f"pq_us=${fmt(pus)}%-7s pq_blk=${fmt(pblk)}%-7s wq_ms=$wms%-8.3f wq_rec=$wrec%-6.3f " +
           f"knn_ms=$kms%-8.3f knn_rec=$krec%.3f"

@@ -5,7 +5,8 @@ import scala.collection.immutable.ArraySeq
 /** A binary min-heap of (key, ref) pairs kept in two primitive arrays:
   * `Double` keys (squared distances) and `Long` refs (the caller's own
   * encoding), so queueing a candidate allocates nothing. [[BestFirst]],
-  * the exact kNN of the tree baselines and of RSMIa, runs on it.
+  * the exact kNN of the tree baselines and of RSMIa, queues its index
+  * nodes on it, keyed by MINDIST².
   *
   * `push` and `pop` sift exactly as `java.util.PriorityQueue` does with
   * a comparator on the key, so a sequence of pushes and pops visits
@@ -58,76 +59,61 @@ final class DistHeap(initialCapacity: Int) {
   }
 }
 
-/** The k points nearest to (qx, qy) among the blocks of `store` offered
-  * so far, as block slots with their squared distances in two primitive
-  * arrays, sized for k plus one block of the store. Shared by Alg 3
-  * ([[repro.core.ExpandingKnn]]) and the Grid File's ring search.
+/** The k smallest squared distances offered so far, each with the
+  * caller's `Long` ref, kept unsorted in two primitive arrays. The one
+  * k-best buffer of the kNN walks: [[KNearest]] (Alg 3 and the Grid
+  * File's ring search) and [[BestFirst]] (RSMIa and the tree baselines)
+  * run on it.
   *
-  * The candidates are kept unsorted. [[offer]] appends every point of a
-  * block that is strictly closer than the current k-th best, writing
-  * each point and advancing the count by the comparison, so the scan
-  * does not branch on it. When the block leaves more than k, one
-  * quickselect keeps the k nearest, with the k-th at index k − 1. So
-  * after every `offer`, [[kth2]] is exactly the k-th smallest distance
-  * offered so far, as the top of a bounded max-heap would be; only which
-  * of several points tied at that distance is kept may differ.
-  * [[result]] sorts the k once and builds a `Point` for each.
+  * A walk offers a batch of candidates (one block's points) with
+  * [[add]] and then calls [[select]]. `add` writes every candidate and
+  * advances the count by its comparison with the current k-th, so it
+  * keeps exactly those strictly closer without a branch. When the batch
+  * leaves more than k, `select` runs one quickselect that keeps the k
+  * nearest, with the k-th at index k − 1. So after every `select`,
+  * [[kth2]] is exactly the k-th smallest distance offered so far, as the
+  * top of a bounded max-heap would be; only which of several candidates
+  * tied at that distance is kept may differ. [[sort]] orders the held
+  * candidates once, nearest first.
   */
-final class KNearest(k: Int, qx: Double, qy: Double, store: BlockStore) {
+final class KBest(k: Int, initialCapacity: Int) {
   require(k >= 1)
-  private var d2s = new Array[Double](math.min(k.toLong + store.capacity, 4096L).toInt)
+  private var d2s = new Array[Double](math.max(1, initialCapacity))
   private var refs = new Array[Long](d2s.length)
   private var n = 0
   private var kth = Double.PositiveInfinity
 
+  /** Candidates held: at most k after a [[select]]. */
   def size: Int = n
 
   /** Squared distance of the k-th best so far; infinite until k are held. */
   def kth2: Double = kth
 
-  /** Offers every live point of `blk`; a point is kept only when
-    * strictly closer than the k-th best.
-    */
-  def offer(blk: Block): Unit = {
-    val m = blk.size
-    if (n + m > d2s.length) grow(n + m)
-    val xs = blk.xs; val ys = blk.ys
-    val blockBits = Slot(blk.id, 0).bits
-    val t = kth
-    var c = n
-    var i = 0
-    while (i < m) {
-      val dx = xs(i) - qx; val dy = ys(i) - qy
-      val d2 = dx * dx + dy * dy
-      d2s(c) = d2; refs(c) = blockBits | i
-      c += below(d2, t)
-      i += 1
+  /** The ref of the i-th held candidate (nearest first after [[sort]]). */
+  def ref(i: Int): Long = refs(i)
+
+  /** Room for `m` more [[add]]s before the next [[select]]. */
+  def reserve(m: Int): Unit =
+    if (n + m > d2s.length) {
+      val to = math.max(n + m, math.min(2L * d2s.length, Int.MaxValue - 8L).toInt)
+      d2s = java.util.Arrays.copyOf(d2s, to)
+      refs = java.util.Arrays.copyOf(refs, to)
     }
-    n = c
+
+  /** Keeps (d2, ref) when d2 is strictly below the k-th best; room for
+    * it must have been [[reserve]]d.
+    */
+  @inline def add(d2: Double, ref: Long): Unit = {
+    d2s(n) = d2; refs(n) = ref
+    n += below(d2, kth)
+  }
+
+  /** Cuts the candidates held back to the k nearest, when more are held. */
+  def select(): Unit =
     if (n > k || (n == k && kth == Double.PositiveInfinity)) keepK()
-  }
 
-  /** The points held, nearest first. */
-  def result(): Seq[Point] = {
-    sort(0, n - 1)
-    val out = new Array[Point](n)
-    var i = 0
-    while (i < n) {
-      val s = new Slot(refs(i))
-      out(i) = store.peek(s.block).point(s.index)
-      i += 1
-    }
-    ArraySeq.unsafeWrapArray(out)
-  }
-
-  /** Room for at least `len` candidates (a large k fills the first
-    * arrays before k are held).
-    */
-  private def grow(len: Int): Unit = {
-    val to = math.max(len, math.min(2L * d2s.length, Int.MaxValue - 8L).toInt)
-    d2s = java.util.Arrays.copyOf(d2s, to)
-    refs = java.util.Arrays.copyOf(refs, to)
-  }
+  /** Orders the candidates held, nearest first. */
+  def sort(): Unit = sort(0, n - 1)
 
   /** Quickselect: the k smallest of the n held move to [0, k), the k-th at k − 1. */
   private def keepK(): Unit = {
@@ -209,5 +195,54 @@ final class KNearest(k: Int, qx: Double, qy: Double, store: BlockStore) {
   private def swap(a: Int, b: Int): Unit = {
     val d = d2s(a); d2s(a) = d2s(b); d2s(b) = d
     val r = refs(a); refs(a) = refs(b); refs(b) = r
+  }
+}
+
+/** The k points nearest to (qx, qy) among the blocks of `store` offered
+  * so far, as block slots in a [[KBest]] sized for k plus one block of
+  * the store. Shared by Alg 3 ([[repro.core.ExpandingKnn]]) and the Grid
+  * File's ring search.
+  *
+  * [[offer]] scans a block's coordinate columns into the buffer and
+  * selects once, so after every `offer`, [[kth2]] is exactly the k-th
+  * smallest distance offered so far. [[result]] sorts the k once and
+  * builds a `Point` for each.
+  */
+final class KNearest(k: Int, qx: Double, qy: Double, store: BlockStore) {
+  private val best = new KBest(k, math.min(k.toLong + store.capacity, 4096L).toInt)
+
+  def size: Int = best.size
+
+  /** Squared distance of the k-th best so far; infinite until k are held. */
+  def kth2: Double = best.kth2
+
+  /** Offers every live point of `blk`; a point is kept only when
+    * strictly closer than the k-th best.
+    */
+  def offer(blk: Block): Unit = {
+    val m = blk.size
+    best.reserve(m)
+    val xs = blk.xs; val ys = blk.ys
+    val blockBits = Slot(blk.id, 0).bits
+    var i = 0
+    while (i < m) {
+      val dx = xs(i) - qx; val dy = ys(i) - qy
+      best.add(dx * dx + dy * dy, blockBits | i)
+      i += 1
+    }
+    best.select()
+  }
+
+  /** The points held, nearest first. */
+  def result(): Seq[Point] = {
+    best.sort()
+    val out = new Array[Point](best.size)
+    var i = 0
+    while (i < out.length) {
+      val s = new Slot(best.ref(i))
+      out(i) = store.peek(s.block).point(s.index)
+      i += 1
+    }
+    ArraySeq.unsafeWrapArray(out)
   }
 }

@@ -69,7 +69,7 @@ class TreeBaselinePinSpec extends AnyFunSuite {
   test("HRR accesses and kNN answers are pinned per query kind") {
     val t = HrrTree.build(base, B = 50)
     assert(t.height === 3)
-    check(t, 106960L, Seq("insert" -> 3000L, "point" -> 1131L, "window" -> 327L, "knn" -> 305L), probeIds)
+    check(t, 106960L, Seq("insert" -> 3000L, "point" -> 1131L, "window" -> 327L, "knn" -> 295L), probeIds)
     assert(t.height === 3)
   }
 

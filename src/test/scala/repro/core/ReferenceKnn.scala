@@ -4,13 +4,16 @@ import scala.collection.mutable
 import repro.baselines.GridFile
 import repro.spatial.{Block, BlockStore, Point, Rect}
 
-/** Reference copies of the two kNN walks that keep their k best in a
-  * [[repro.spatial.KNearest]]: Alg 3's curve-order walk over the learned
-  * range ([[ExpandingKnn]]) and the Grid File's ring search. Each copy
-  * keeps its k best in a `java.util.PriorityQueue` of points, worst on
-  * top, and walks the blocks with `peek` and the chain fields, as the
-  * benchmark's own copy of Alg 3 does. Tests run an index's walk beside
-  * these and require the same blocks read, the same rounds and the same
+/** Reference copies of the kNN walks that keep their k best in a
+  * [[repro.spatial.KBest]]: Alg 3's curve-order walk over the learned
+  * range ([[ExpandingKnn]]), the Grid File's ring search, and the
+  * best-first walk of RSMIa and the tree baselines
+  * ([[repro.spatial.BestFirst]]). The first two keep their k best in a
+  * `java.util.PriorityQueue` of points, worst on top, and walk the
+  * blocks with `peek` and the chain fields, as the benchmark's own copy
+  * of Alg 3 does; the best-first copy queues nodes and points together
+  * in one `PriorityQueue`. Tests run an index's walk beside these and
+  * require the same blocks read, the same rounds and the same
   * distances, so a change to how the k best are kept cannot move which
   * blocks are read.
   */
@@ -117,5 +120,67 @@ object ReferenceKnn {
       ring += 1
     }
     best.walk(ring)
+  }
+
+  /** An index's node structure, as the best-first walk sees it: a
+    * node's region, its children in queueing order, the points it holds
+    * in slot order, and whether expanding it costs a block access.
+    */
+  trait Nodes[N] {
+    def mbr(n: N): Rect
+    def children(n: N): Seq[N]
+    def points(n: N): Seq[Point]
+    def charged(n: N): Boolean
+  }
+
+  /** The best-first walk with one `PriorityQueue` on the key holding
+    * both nodes, keyed by MINDIST², and points, keyed by distance²: every
+    * child and every point of an expanded node is queued, and the walk
+    * stops once k points have been popped or the queue is empty. `rounds`
+    * counts the nodes expanded.
+    */
+  def bestFirst[N](t: Nodes[N], root: N, qx: Double, qy: Double, k: Int): Walk = {
+    final case class Entry(d2: Double, node: Option[N])
+    val pq = new java.util.PriorityQueue[Entry](64, (a: Entry, b: Entry) => java.lang.Double.compare(a.d2, b.d2))
+    pq.add(Entry(t.mbr(root).minDist2(qx, qy), Some(root)))
+    val out = mutable.ArrayBuffer.empty[Double]
+    var blocks = 0
+    var expanded = 0
+    while (out.size < k && !pq.isEmpty) {
+      val e = pq.poll()
+      e.node match {
+        case None => out += e.d2
+        case Some(n) =>
+          expanded += 1
+          if (t.charged(n)) blocks += 1
+          t.children(n).foreach(c => pq.add(Entry(t.mbr(c).minDist2(qx, qy), Some(c))))
+          t.points(n).foreach(p => pq.add(Entry(p.dist2(qx, qy), None)))
+      }
+    }
+    Walk(out.toSeq, blocks, expanded)
+  }
+
+  /** RSMIa's nodes: sub-models, then a leaf's blocks in chain order; a
+    * block is charged.
+    */
+  def rsmiNodes(idx: Rsmi): Nodes[AnyRef] = new Nodes[AnyRef] {
+    def mbr(n: AnyRef): Rect = n match {
+      case b: Block   => b.mbr
+      case r: RsmiNode => r.mbr
+    }
+    def children(n: AnyRef): Seq[AnyRef] = n match {
+      case in: InternalNode => in.children.toSeq.filter(_ != null)
+      case lf: LeafNode =>
+        val out = mutable.ArrayBuffer.empty[AnyRef]
+        var blk = idx.store.rangeStart(lf.firstBlk)
+        while (blk != null) { out += blk; blk = idx.store.rangeNext(blk, lf.lastBlk) }
+        out.toSeq
+      case _: Block => Nil
+    }
+    def points(n: AnyRef): Seq[Point] = n match {
+      case b: Block => (0 until b.size).map(b.point)
+      case _        => Nil
+    }
+    def charged(n: AnyRef): Boolean = n.isInstanceOf[Block]
   }
 }

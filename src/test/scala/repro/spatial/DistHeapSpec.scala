@@ -5,10 +5,9 @@ import org.scalatest.funsuite.AnyFunSuite
 
 /** [[DistHeap]] against `java.util.PriorityQueue` with a key-only
   * comparator: for the same pushes and pops, the popped (key, ref)
-  * sequence is identical, ties included. Best-first kNN
-  * ([[BestFirst]]) visits nodes in the order of `PriorityQueue` walks
-  * (the tier-1 reference walks and the benchmark's shadow copies)
-  * only because of this.
+  * sequence is identical, ties included. So best-first kNN
+  * ([[BestFirst]]) pops its nodes in the order a `PriorityQueue` of the
+  * same nodes would, ties included.
   */
 class DistHeapSpec extends AnyFunSuite {
 
