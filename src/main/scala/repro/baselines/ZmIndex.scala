@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.harness.SpatialIndexApi
 import repro.spatial._
-import repro.core.{ExpandingKnn, Pmf}
+import repro.core.{ExpandingKnn, Pmf, Regressor}
 
 /** Z-order model baseline (ZM) [Wang et al. 2019], as configured in
   * §6.1: a three-level recursive model index over Z-values, with 1,
@@ -56,10 +56,7 @@ final class ZmIndex private (
   /** Predicted global block for a Z-value plus that leaf's error range. */
   private def predictRange(z: Long): (Int, Int, Int) = {
     val j = route(z)
-    val pred = {
-      val raw = math.round(level2(j).predict1(znorm(z)) * (numBlks - 1)).toInt
-      math.min(numBlks - 1, math.max(0, raw))
-    }
+    val pred = Regressor.slot(level2(j).predict1(znorm(z)), numBlks)
     (pred,
      math.max(0, pred - errL(j)),
      math.min(numBlks - 1, pred + errA(j)))
@@ -213,8 +210,7 @@ object ZmIndex {
     // over-predictions, errA under-predictions (cf. RsmiBuilder).
     for ((j, idx) <- assign2; i <- idx) {
       val actual = i / B
-      val raw = math.round(level2(j).predict1(zs(i).toDouble / zMax) * (numBlks - 1)).toInt
-      val pred = math.min(numBlks - 1, math.max(0, raw))
+      val pred = Regressor.slot(level2(j).predict1(zs(i).toDouble / zMax), numBlks)
       if (pred > actual) errL(j) = math.max(errL(j), pred - actual)
       else errA(j) = math.max(errA(j), actual - pred)
     }

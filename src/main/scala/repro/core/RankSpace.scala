@@ -1,6 +1,5 @@
 package repro.core
 
-import org.apache.spark.sql.DataFrame
 import repro.spatial.{Hilbert, Point}
 
 /** Rank-space transformation (§3.1, from the R-tree packing work
@@ -15,7 +14,7 @@ import repro.spatial.{Hilbert, Point}
   */
 object RankSpace {
 
-  /** Local transform: returns (rankX, rankY) aligned with `pts` —
+  /** Returns (rankX, rankY) aligned with `pts` —
     * rankX(i) is the x-rank of pts(i), in [0, n).
     */
   def ranks(pts: Array[Point]): (Array[Int], Array[Int]) = {
@@ -57,20 +56,5 @@ object RankSpace {
     var i = 0
     while (i < n) { cv(i) = Hilbert.xy2d(order, rankX(i), rankY(i)); i += 1 }
     Array.tabulate(n)(identity).sortWith((a, b) => cv(a) < cv(b)).map(pts(_))
-  }
-
-  /** Spark transform: adds a `rank_x` column, each point's x-rank with
-    * the tie-breaks of [[ranks]], to an (id, x, y) DataFrame. This is
-    * the global rank [[RsmiSpark.build]] cuts into equal-count columns.
-    *
-    * A global `row_number` window would funnel everything through one
-    * partition, so instead the rank is a distributed sort followed by
-    * `zipWithIndex` (one extra job), joined back on id — the standard
-    * scalable ranking idiom.
-    */
-  def withRanks(df: DataFrame): DataFrame = {
-    val sorted = df.select("id", "x", "y").sort("x", "y", "id").select("id")
-    val ranked = sorted.rdd.map(_.getLong(0)).zipWithIndex()
-    df.join(df.sparkSession.createDataFrame(ranked).toDF("id", "rank_x"), "id")
   }
 }

@@ -13,9 +13,15 @@ import repro.spatial._
   *                       default keeps CI-scale builds tractable,
   *                       DESIGN.md §5)
   * @param internalEpochs SGD epochs for internal (partitioning) models
-  * @param maxTrainSample cap on training samples for internal models —
-  *                       predictions stay deterministic for all points,
-  *                       which is all the learned grouping needs
+  * @param maxTrainSample sets the training sample of an internal model:
+  *                       of a partition's n points, every
+  *                       max(1, n / maxTrainSample)-th (integer
+  *                       division) is used, so up to
+  *                       2·maxTrainSample − 1 points, not a hard cap
+  *                       (ROADMAP item 4). [[RsmiSpark.build]] fits the
+  *                       root on a sample of at most maxTrainSample
+  *                       points. Predictions stay deterministic for all
+  *                       points, which is all the learned grouping needs
   * @param lr             SGD learning rate (paper: 0.01)
   * @param gamma          pieces of the kNN CDF approximation (paper: 100)
   * @param delta          Δ of Eq. 6 (paper: 0.01)
@@ -47,6 +53,15 @@ final case class Norm(rect: Rect) extends Serializable {
 sealed trait Regressor extends Serializable {
   def predict(x: Double, y: Double): Double
   def paramCount: Int
+}
+
+object Regressor {
+  /** The slot a normalized prediction names among `slots` (child cells
+    * or blocks): rounded to the nearest, clamped to [0, slots). Routing,
+    * grouping and the Eq. 4/5 error bounds all round through here.
+    */
+  def slot(pred: Double, slots: Int): Int =
+    math.min(slots - 1, math.max(0, math.round(pred * (slots - 1)).toInt))
 }
 
 /** The paper's MLP sub-model (normalizes inputs itself). */
@@ -96,10 +111,7 @@ final class InternalNode(
   val cells: Int = gridDim * gridDim
 
   /** Predicted child slot for a coordinate, clamped to [0, cells). */
-  def predictCell(x: Double, y: Double): Int = {
-    val raw = math.round(model.predict(x, y) * (cells - 1)).toInt
-    math.min(cells - 1, math.max(0, raw))
-  }
+  def predictCell(x: Double, y: Double): Int = Regressor.slot(model.predict(x, y), cells)
 
   /** Nearest non-null child slot to the predicted one (curve-order
     * distance). Build guarantees at least one non-null child.
@@ -131,25 +143,19 @@ final class LeafNode(
   def lastBlk: Int = firstBlk + numBlks - 1
 
   /** Predicted local block offset, clamped to the leaf's range. */
-  def predictLocal(x: Double, y: Double): Int = {
-    val scale = numBlks - 1
-    if (scale <= 0) 0
-    else {
-      val raw = math.round(model.predict(x, y) * scale).toInt
-      math.min(scale, math.max(0, raw))
-    }
-  }
+  def predictLocal(x: Double, y: Double): Int =
+    if (numBlks <= 1) 0 else Regressor.slot(model.predict(x, y), numBlks)
 }
 
 /** The Recursive Spatial Model Index (the paper's contribution).
   *
   * Construction: [[RsmiBuilder.build]] (driver-side) or
-  * [[RsmiSpark.build]] (DataFrame pipeline with executor-side leaf
-  * training). Queries: §4's algorithms — `pointQuery`, `windowQuery`
-  * (approximate, no false positives), `knnQuery` (approximate), and
-  * the MBR-based exact variants `windowQueryExact` / `knnQueryExact`
-  * (RSMIa). Updates: §5's `insert` / `delete`, plus `rebuilt()` for
-  * the RSMIr periodic rebuild.
+  * [[RsmiSpark.build]] (root fit on the driver, sub-trees planned on
+  * Spark executors). Queries: §4's algorithms — `pointQuery`,
+  * `windowQuery` (approximate, no false positives), `knnQuery`
+  * (approximate), and the MBR-based exact variants `windowQueryExact` /
+  * `knnQueryExact` (RSMIa). Updates: §5's `insert` / `delete`, plus
+  * `rebuilt()` for the RSMIr periodic rebuild.
   */
 final class Rsmi(
     val root: RsmiNode,

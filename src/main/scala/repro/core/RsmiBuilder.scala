@@ -7,9 +7,9 @@ import repro.spatial._
 
 /** Driver-side recursive construction of the RSMI (§3).
   *
-  * [[RsmiSpark]] reuses the pieces here: [[trainLeaf]] is shipped to
-  * executors (it depends only on a partition's points and the config),
-  * and [[buildNode]] assembles the final structure.
+  * [[RsmiSpark]] reuses the pieces here: it fits the root with
+  * [[partition]], runs [[plan]] for each predicted cell on the
+  * executors, and numbers the blocks with [[pack]] on the driver.
   */
 object RsmiBuilder {
 
@@ -62,8 +62,7 @@ object RsmiBuilder {
     while (i < n) {
       val p = ordered(i)
       val actual = i / cfg.B
-      val raw = math.round(model.predict(p.x, p.y) * (numBlks - 1)).toInt
-      val pred = math.min(numBlks - 1, math.max(0, raw))
+      val pred = Regressor.slot(model.predict(p.x, p.y), numBlks)
       if (pred > actual) errL = math.max(errL, pred - actual)
       else errA = math.max(errA, actual - pred)
       i += 1
@@ -193,8 +192,7 @@ object RsmiBuilder {
       var i = 0
       while (i < n) {
         val p = pts(i)
-        val raw = math.round(model.predict(p.x, p.y) * (cells - 1)).toInt
-        val c = math.min(cells - 1, math.max(0, raw))
+        val c = Regressor.slot(model.predict(p.x, p.y), cells)
         if (bufs(c) == null) bufs(c) = mutable.ArrayBuffer.empty[Point]
         bufs(c) += p
         i += 1
@@ -222,9 +220,9 @@ object RsmiBuilder {
     * numbered: the plan pass builds these in parallel, the pack pass
     * turns them into nodes on one thread.
     */
-  private sealed trait Planned
-  private final case class PlannedLeaf(lr: LeafResult) extends Planned
-  private final case class PlannedInternal(
+  private[core] sealed trait Planned
+  private[core] final case class PlannedLeaf(lr: LeafResult) extends Planned
+  private[core] final case class PlannedInternal(
       model: Regressor, dim: Int, children: Array[Planned], mbr: Rect) extends Planned
 
   /** Plans one sub-tree and forks a task per non-empty child group. The
@@ -278,21 +276,28 @@ object RsmiBuilder {
     * order follows the recursive curve order (§3.2) whatever order the
     * plan pass trained the sub-trees in.
     */
-  private def pack(p: Planned, store: BlockStore, cfg: RsmiConfig): RsmiNode = p match {
+  private[core] def pack(p: Planned, store: BlockStore, cfg: RsmiConfig): RsmiNode = p match {
     case PlannedLeaf(lr) => materializeLeaf(lr, store, cfg)
     case PlannedInternal(model, dim, children, mbr) =>
       new InternalNode(model, dim, children.map(c => if (c == null) null else pack(c, store, cfg)), mbr)
   }
 
-  /** Recursive node construction: sub-trees are trained in parallel,
-    * then packed on the calling thread, so the index (block ids, leaf
-    * ranges, error bounds) does not depend on the thread count. A
-    * single leaf trains on the calling thread and starts no pool.
+  /** Trains the sub-tree over `pts` at `depth` without numbering its
+    * blocks: sub-trees are trained in parallel, and a single leaf trains
+    * on the calling thread and starts no pool. Deterministic in
+    * (pts, cfg, seed, depth).
+    */
+  private[core] def plan(pts: Array[Point], cfg: RsmiConfig, seed: Long, depth: Int): Planned =
+    if (isLeaf(pts, cfg, depth)) PlannedLeaf(trainLeaf(pts, cfg, seed))
+    else planInPool(pts, cfg, seed, depth)
+
+  /** Recursive node construction: the sub-tree is planned, then packed
+    * on the calling thread, so the index (block ids, leaf ranges, error
+    * bounds) does not depend on the thread count.
     */
   def buildNode(pts: Array[Point], cfg: RsmiConfig, store: BlockStore,
                 seed: Long, depth: Int): RsmiNode =
-    if (isLeaf(pts, cfg, depth)) materializeLeaf(trainLeaf(pts, cfg, seed), store, cfg)
-    else pack(planInPool(pts, cfg, seed, depth), store, cfg)
+    pack(plan(pts, cfg, seed, depth), store, cfg)
 
   /** Build an RSMI over `points` (driver-side reference builder). */
   def build(points: Array[Point], cfg: RsmiConfig = RsmiConfig()): Rsmi = {

@@ -27,7 +27,7 @@ object Harness {
     out.result()
   }
 
-  /** Window recall, the paper's metric: the share of the truth ids that
+  /** Recall of a window query, the paper's metric: the share of the truth ids that
     * `got` returns; 1 for an empty truth.
     */
   def recall(got: Seq[Point], truth: Set[Long]): Double =
