@@ -2,7 +2,7 @@ package repro.baselines
 
 import repro.harness.SpatialIndexApi
 import repro.spatial._
-import repro.core.{ExpandingKnn, Pmf, Regressor}
+import repro.core.{ExpandingKnn, Pmf}
 
 /** Z-order model baseline (ZM) [Wang et al. 2019], as configured in
   * §6.1: a three-level recursive model index over Z-values, with 1,
@@ -28,7 +28,7 @@ final class ZmIndex private (
     val bits: Int,
     level0: Mlp,
     level1: Array[Mlp],
-    level2: Array[Mlp],
+    private[repro] val level2: Array[Mlp],
     val errL: Array[Int],
     val errA: Array[Int],
     private[repro] val store: BlockStore,
@@ -56,7 +56,7 @@ final class ZmIndex private (
   /** Predicted global block for a Z-value plus that leaf's error range. */
   private def predictRange(z: Long): (Int, Int, Int) = {
     val j = route(z)
-    val pred = Regressor.slot(level2(j).predict1(znorm(z)), numBlks)
+    val pred = level2(j).slot1(znorm(z), numBlks)
     (pred,
      math.max(0, pred - errL(j)),
      math.min(numBlks - 1, pred + errA(j)))
@@ -210,7 +210,7 @@ object ZmIndex {
     // over-predictions, errA under-predictions (cf. RsmiBuilder).
     for ((j, idx) <- assign2; i <- idx) {
       val actual = i / B
-      val pred = Regressor.slot(level2(j).predict1(zs(i).toDouble / zMax), numBlks)
+      val pred = level2(j).slot1(zs(i).toDouble / zMax, numBlks)
       if (pred > actual) errL(j) = math.max(errL(j), pred - actual)
       else errA(j) = math.max(errA(j), actual - pred)
     }

@@ -43,8 +43,8 @@ final case class RsmiConfig(
   * onto the unit square (§6.1 normalizes coordinates to unit range).
   */
 final case class Norm(rect: Rect) extends Serializable {
-  private val sx = { val w = rect.xhi - rect.xlo; if (w > 0) 1.0 / w else 0.0 }
-  private val sy = { val h = rect.yhi - rect.ylo; if (h > 0) 1.0 / h else 0.0 }
+  val sx: Double = { val w = rect.xhi - rect.xlo; if (w > 0) 1.0 / w else 0.0 }
+  val sy: Double = { val h = rect.yhi - rect.ylo; if (h > 0) 1.0 / h else 0.0 }
   @inline def nx(x: Double): Double = (x - rect.xlo) * sx
   @inline def ny(y: Double): Double = (y - rect.ylo) * sy
 }
@@ -53,20 +53,20 @@ final case class Norm(rect: Rect) extends Serializable {
 sealed trait Regressor extends Serializable {
   def predict(x: Double, y: Double): Double
   def paramCount: Int
-}
 
-object Regressor {
-  /** The slot a normalized prediction names among `slots` (child cells
-    * or blocks): rounded to the nearest, clamped to [0, slots). Routing,
-    * grouping and the Eq. 4/5 error bounds all round through here.
+  /** `Mlp.slot(predict(x, y), slots)`: every routing, grouping, Eq. 4/5
+    * bound and block prediction of RSMI goes through here.
     */
-  def slot(pred: Double, slots: Int): Int =
-    math.min(slots - 1, math.max(0, math.round(pred * (slots - 1)).toInt))
+  def slotOf(x: Double, y: Double, slots: Int): Int = Mlp.slot(predict(x, y), slots)
 }
 
-/** The paper's MLP sub-model (normalizes inputs itself). */
-final class MlpRegressor(val mlp: Mlp, val norm: Norm) extends Regressor {
-  def predict(x: Double, y: Double): Double = mlp.predict2(norm.nx(x), norm.ny(y))
+/** The paper's MLP sub-model; it normalizes inputs by its own copy of a [[Norm]]'s doubles. */
+final class MlpRegressor(val mlp: Mlp, xlo: Double, ylo: Double, sx: Double, sy: Double)
+    extends Regressor {
+  def this(mlp: Mlp, norm: Norm) = this(mlp, norm.rect.xlo, norm.rect.ylo, norm.sx, norm.sy)
+  def predict(x: Double, y: Double): Double = mlp.predict2((x - xlo) * sx, (y - ylo) * sy)
+  override def slotOf(x: Double, y: Double, slots: Int): Int =
+    mlp.slot2((x - xlo) * sx, (y - ylo) * sy, slots)
   def paramCount: Int = mlp.paramCount
 }
 
@@ -111,7 +111,7 @@ final class InternalNode(
   val cells: Int = gridDim * gridDim
 
   /** Predicted child slot for a coordinate, clamped to [0, cells). */
-  def predictCell(x: Double, y: Double): Int = Regressor.slot(model.predict(x, y), cells)
+  def predictCell(x: Double, y: Double): Int = model.slotOf(x, y, cells)
 
   /** Nearest non-null child slot to the predicted one (curve-order
     * distance). Build guarantees at least one non-null child.
@@ -144,7 +144,7 @@ final class LeafNode(
 
   /** Predicted local block offset, clamped to the leaf's range. */
   def predictLocal(x: Double, y: Double): Int =
-    if (numBlks <= 1) 0 else Regressor.slot(model.predict(x, y), numBlks)
+    if (numBlks <= 1) 0 else model.slotOf(x, y, numBlks)
 }
 
 /** The Recursive Spatial Model Index (the paper's contribution).

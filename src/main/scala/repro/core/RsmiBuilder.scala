@@ -62,7 +62,7 @@ object RsmiBuilder {
     while (i < n) {
       val p = ordered(i)
       val actual = i / cfg.B
-      val pred = Regressor.slot(model.predict(p.x, p.y), numBlks)
+      val pred = model.slotOf(p.x, p.y, numBlks)
       if (pred > actual) errL = math.max(errL, pred - actual)
       else errA = math.max(errA, actual - pred)
       i += 1
@@ -192,7 +192,7 @@ object RsmiBuilder {
       var i = 0
       while (i < n) {
         val p = pts(i)
-        val c = Regressor.slot(model.predict(p.x, p.y), cells)
+        val c = model.slotOf(p.x, p.y, cells)
         if (bufs(c) == null) bufs(c) = mutable.ArrayBuffer.empty[Point]
         bufs(c) += p
         i += 1

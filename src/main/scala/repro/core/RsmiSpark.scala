@@ -48,7 +48,7 @@ object RsmiSpark {
     val bModel = spark.sparkContext.broadcast(rootModel)
     implicit val plannedEnc: Encoder[(Int, RsmiBuilder.Planned)] =
       Encoders.javaSerialization[(Int, RsmiBuilder.Planned)]
-    val cellOf = udf((x: Double, y: Double) => Regressor.slot(bModel.value.predict(x, y), cells))
+    val cellOf = udf((x: Double, y: Double) => bModel.value.slotOf(x, y, cells))
     val planned = df.select(cellOf(col("x"), col("y")) as "cell", col("id"), col("x"), col("y"))
       // A repartition by number spreads the cells over `cells` tasks;
       // adaptive execution would coalesce a plain groupByKey's small

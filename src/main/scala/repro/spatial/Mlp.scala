@@ -15,8 +15,9 @@ package repro.spatial
   * O(nIn · nHidden) multiply-adds, the O(M) of the paper's cost model.
   */
 final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable {
-  // Xavier-uniform init keeps sigmoid pre-activations in range.
-  private val rnd = new java.util.Random(seed)
+  // Xavier-uniform init keeps sigmoid pre-activations in range. The
+  // generator (also `fit`'s shuffle) is not serialized with the model.
+  @transient private val rnd = new java.util.Random(seed)
   private def xavier(fanIn: Int, fanOut: Int): Double = {
     val r = math.sqrt(6.0 / (fanIn + fanOut))
     (rnd.nextDouble() * 2 - 1) * r
@@ -29,7 +30,7 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
   val w2: Array[Double] = Array.fill(nHidden)(xavier(nHidden, 1))
   var b2: Double = 0.0
 
-  @inline private def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
+  import Mlp.sigmoid
 
   /** Forward pass. `x` must have length nIn. */
   def predict(x: Array[Double]): Double = {
@@ -70,6 +71,41 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
     out
   }
 
+  /** The slot [[Mlp.slot]] gives `predict2(x0, x1)` among `slots`. */
+  def slot2(x0: Double, x1: Double, slots: Int): Int = boundedSlot(x0, x1, slots)
+  /** The slot [[Mlp.slot]] gives `predict1(x0)` among `slots`. */
+  def slot1(x0: Double, slots: Int): Int = boundedSlot(x0, 0.0, slots)
+
+  /** Bounded routing (DESIGN.md §5.9 shows it exact): σ of each hidden
+    * unit's z, computed as the forward pass does, lies between table
+    * entries j − 1 and j + 1 for j = ⌊(z + 32)·64⌋ (0 and 1 past the ends).
+    * If low and high outputs summed in the forward pass's order round to
+    * one slot, that is the slot; otherwise, for a NaN z or beyond
+    * [[Mlp.MaxBoundedSlots]], the forward pass runs.
+    */
+  private def boundedSlot(x0: Double, x1: Double, slots: Int): Int = {
+    if (slots > Mlp.MaxBoundedSlots) return Mlp.slot(forward(x0, x1), slots)
+    var lo = b2
+    var hi = b2
+    var h = 0
+    while (h < nHidden) {
+      val z = if (nIn == 1) b1(h) + w1(h) * x0 else b1(h) + w1(2 * h) * x0 + w1(2 * h + 1) * x1
+      val j = ((z + 32) * 64).toInt // saturates for ±∞
+      val sLo = if (j <= 0) 0.0 else Mlp.SigmoidTable(math.min(j - 1, Mlp.TableLast))
+      val sHi = if (j >= Mlp.TableLast) 1.0 else Mlp.SigmoidTable(math.max(j + 1, 0))
+      val w = w2(h)
+      if (z.isNaN) { lo = Double.NegativeInfinity; hi = Double.PositiveInfinity }
+      else if (w >= 0) { lo += w * sLo; hi += w * sHi }
+      else { lo += w * sHi; hi += w * sLo }
+      h += 1
+    }
+    val s = Mlp.slot(lo, slots)
+    if (s == Mlp.slot(hi, slots)) s else Mlp.slot(forward(x0, x1), slots)
+  }
+
+  private def forward(x0: Double, x1: Double): Double =
+    if (nIn == 1) predict1(x0) else predict2(x0, x1)
+
   /** SGD with classical momentum (0.9) on the L2 loss (Eq. 3). `xs` is
     * row-major [n × nIn]. Samples are visited in a reshuffled order
     * each epoch.
@@ -81,6 +117,7 @@ final class Mlp(val nIn: Int, val nHidden: Int, seed: Long) extends Serializable
   def fit(xs: Array[Double], ys: Array[Double], epochs: Int, lr: Double = 0.01): Unit = {
     val n = ys.length
     require(xs.length == n * nIn, s"xs length ${xs.length} != $n * $nIn")
+    require(rnd != null, "a deserialized model is not trained further")
     if (n == 0) return
     val mu = 0.9
     val lr0 = lr
@@ -153,4 +190,26 @@ object Mlp {
   /** The paper's sizing rule (§6.1): hidden = (inputs + output classes) / 2. */
   def hiddenFor(nIn: Int, nOutClasses: Int): Int =
     math.max(4, (nIn + nOutClasses) / 2)
+
+  @inline private[repro] def sigmoid(z: Double): Double = 1.0 / (1.0 + math.exp(-z))
+
+  /** The slot a normalized prediction names among `slots` (child cells or
+    * blocks): rounded to the nearest, clamped to [0, slots) in `Long` so it
+    * is monotone for every input (NaN gives 0). RSMI and ZM round here.
+    */
+  def slot(pred: Double, slots: Int): Int =
+    math.min(slots - 1L, math.max(0L, math.round(pred * (slots - 1)))).toInt
+
+  private val TableLast = 4096
+
+  /** Beyond this many slots (and the wider models `hiddenFor` gives them)
+    * the bounds straddle an edge too often to repay their cost (§5.9). */
+  private val MaxBoundedSlots = 8
+
+  /** σ at z = −32 + i/64, i = 0…4096, by the forward pass's own `sigmoid`,
+    * which is monotone (`exp` is semi-monotonic, and IEEE + and / round
+    * monotonically), so table entries bound it.
+    */
+  private[repro] val SigmoidTable: Array[Double] =
+    Array.tabulate(TableLast + 1)(i => sigmoid(-32.0 + i / 64.0))
 }

@@ -25,6 +25,12 @@ class RegressorSpec extends AnyFunSuite {
     assert(!n.ny(0.7).isNaN)
   }
 
+  test("slot rounds to the nearest slot, clamps huge predictions and sends NaN to slot 0") {
+    assert(Mlp.slot(1e12, 4) === 3)
+    assert(Mlp.slot(-1e12, 4) === 0)
+    assert(Mlp.slot(Double.NaN, 4) === 0)
+  }
+
   test("GridRegressor maps points to their grid cell's curve value") {
     // A 2×2 grid with cuts at 0.5: cells get Hilbert order-1 values.
     val g = new GridRegressor(Array(0.5), Array(Array(0.5), Array(0.5)), 1, 4)

@@ -2,7 +2,7 @@ package repro.datasource
 
 import java.nio.file.Files
 import org.scalatest.funsuite.AnyFunSuite
-import repro.core.{RsmiBuilder, RsmiConfig}
+import repro.core.{InternalNode, LeafNode, RsmiBuilder, RsmiConfig, RsmiNode}
 import repro.data.SpatialData
 import repro.spatial.{Point, Rect}
 
@@ -25,6 +25,22 @@ class RsmiFormatSpec extends AnyFunSuite {
     assert(meta.count === pts.length.toLong)
     assert(meta.originalCount === idx.store.originalCount)
     assert(meta.blocks.length === idx.store.numBlocks)
+  }
+
+  test("meta.ser does not depend on which node MBRs are shared objects") {
+    val (_, idx, dir) = persisted()
+    def refresh(nd: RsmiNode): Unit = {
+      nd.mbr = nd.mbr.copy()
+      nd match {
+        case in: InternalNode => in.children.foreach(c => if (c != null) refresh(c))
+        case _: LeafNode      =>
+      }
+    }
+    refresh(idx.root)
+    val fresh = Files.createTempDirectory("rsmi-fmt").toString
+    RsmiFormat.write(idx, fresh)
+    def size(d: String) = Files.size(java.nio.file.Paths.get(d, "meta.ser"))
+    assert(size(fresh) === size(dir))
   }
 
   test("blocks.bin holds 24 bytes per point") {
