@@ -1,15 +1,14 @@
 package repro.baselines
 
-import repro.harness.SpatialIndexApi
 import repro.spatial._
-import repro.core.{ExpandingKnn, Pmf}
+import repro.core.{LearnedIndex, Pmf}
 
 /** Z-order model baseline (ZM) [Wang et al. 2019], as configured in
   * §6.1: a three-level recursive model index over Z-values, with 1,
   * √(n/B²) and n/B² sub-models per level.
   *
   * A point's search key is the Z-value obtained by interleaving the
-  * bits of its coordinates (discretized to a 2^bits grid); the points
+  * bits of its coordinates (discretized to a 2^16 × 2^16 grid); the points
   * are stored sorted by Z-value, B per block, and each sub-model is an
   * MLP mapping the normalized Z-value to the normalized rank. Routing
   * follows RMI: the model at level i picks the level-i+1 model by its
@@ -22,27 +21,27 @@ import repro.core.{ExpandingKnn, Pmf}
   * Updates (§6.2.5 adapts RSMI's algorithms): a new point is placed in
   * the block its Z-value binary-searches to, overflowing into a chained
   * inserted block, so Z-order locality — and hence query correctness —
-  * is preserved.
+  * is preserved. Windows, kNN and the removal step of a delete are
+  * RSMI's own, from [[LearnedIndex]].
   */
 final class ZmIndex private (
-    val bits: Int,
     level0: Mlp,
     level1: Array[Mlp],
     private[repro] val level2: Array[Mlp],
     val errL: Array[Int],
     val errA: Array[Int],
-    private[repro] val store: BlockStore,
+    store: BlockStore,
     minZ: Array[Long],
-    private[repro] val pmfX: Pmf, private[repro] val pmfY: Pmf,
-    nPoints: Long) extends SpatialIndexApi {
+    pmfX: Pmf, pmfY: Pmf,
+    nPoints: Long) extends LearnedIndex(store, pmfX, pmfY, nPoints) {
 
-  val name = "ZM"
-  private val zMax = math.pow(2.0, 2.0 * bits) - 1
-  private var cardinality: Long = nPoints
+  import ZmIndex.{Bits, ZMax}
+
+  def name: String = "ZM"
   private def numBlks: Int = store.originalCount
 
-  @inline private def zOf(x: Double, y: Double): Long = ZCurve.zOfUnit(bits, x, y)
-  @inline private def znorm(z: Long): Double = z.toDouble / zMax
+  @inline private def zOf(x: Double, y: Double): Long = ZCurve.zOfUnit(Bits, x, y)
+  @inline private def znorm(z: Long): Double = z.toDouble / ZMax
 
   /** RMI routing: returns the leaf model index handling this Z-value. */
   private def route(z: Long): Int = {
@@ -53,13 +52,11 @@ final class ZmIndex private (
     math.min(level2.length - 1, math.max(0, (r1 * level2.length).toInt))
   }
 
-  /** Predicted global block for a Z-value plus that leaf's error range. */
-  private def predictRange(z: Long): (Int, Int, Int) = {
+  /** The leaf model's error range of original blocks for Z-value `z`. */
+  private def errRange(z: Long): (Int, Int) = {
     val j = route(z)
     val pred = level2(j).slot1(znorm(z), numBlks)
-    (pred,
-     math.max(0, pred - errL(j)),
-     math.min(numBlks - 1, pred + errA(j)))
+    (math.max(0, pred - errL(j)), math.min(numBlks - 1, pred + errA(j)))
   }
 
   /** Binary search over the frozen per-block minimum Z-values within
@@ -77,56 +74,47 @@ final class ZmIndex private (
     lo
   }
 
-  /** Original block whose group holds Z-value `z`: [[locate]] over the
-    * leaf model's error range.
+  /** Searches for (x, y) every group whose Z-range [minZ(b), minZ(b + 1)]
+    * holds its Z-value, inside the leaf model's error range: the located
+    * group first, then down the run of groups tied at that Z-value. A
+    * run of equal Z-values can span any number of blocks, and the error
+    * range covers every block of the run.
     */
-  private def groupOf(z: Long): Int = {
-    val (_, lo, hi) = predictRange(z)
-    locate(z, lo, hi)
+  private def find(x: Double, y: Double): Slot = {
+    val z = zOf(x, y)
+    val (lo, hi) = errRange(z)
+    var g = locate(z, lo, hi)
+    var s = store.findInGroup(g, x, y)
+    while (!s.found && g > lo && minZ(g) == z) {
+      g -= 1
+      s = store.findInGroup(g, x, y)
+    }
+    s
   }
 
   def pointQuery(x: Double, y: Double): Option[Point] = {
-    val z = zOf(x, y)
-    val g = groupOf(z)
-    var s = store.findInGroup(g, x, y)
-    // Z-value ties can straddle a block boundary.
-    if (!s.found) {
-      if (g > 0 && minZ(g) == z) s = store.findInGroup(g - 1, x, y)
-      else if (g + 1 < numBlks && minZ(g + 1) == z) s = store.findInGroup(g + 1, x, y)
-    }
+    val s = find(x, y)
     if (s.found) Some(store.peek(s.block).point(s.index)) else None
   }
+
+  protected def deleteSlot(x: Double, y: Double): Slot = find(x, y)
 
   /** §4.2 for Z-curves: ql/qh are the bottom-left and top-right window
     * corners; scan the predicted block range between them.
     */
   def windowRange(r: Rect): (Int, Int) = {
-    val (_, lo, _) = predictRange(zOf(r.xlo, r.ylo))
-    val (_, _, hi) = predictRange(zOf(r.xhi, r.yhi))
+    val lo = errRange(zOf(r.xlo, r.ylo))._1
+    val hi = errRange(zOf(r.xhi, r.yhi))._2
     (lo, math.max(lo, hi))
   }
 
-  def windowQuery(r: Rect): Seq[Point] = {
-    val (begin, end) = windowRange(r)
-    store.windowScan(begin, end, r)
-  }
-
-  def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    ExpandingKnn.knn(store, pmfX, pmfY, cardinality, 0.01, qx, qy, k)(windowRange)
-
+  /** Places `p` in the group its Z-value locates to. */
   def insert(p: Point): Unit = {
-    store.appendToGroup(groupOf(zOf(p.x, p.y)), p)
+    val z = zOf(p.x, p.y)
+    val (lo, hi) = errRange(z)
+    store.appendToGroup(locate(z, lo, hi), p)
     cardinality += 1
   }
-
-  def delete(x: Double, y: Double): Boolean = {
-    val s = store.findInGroup(groupOf(zOf(x, y)), x, y)
-    if (s.found) { store.peek(s.block).removeAt(s.index); cardinality -= 1 }
-    s.found
-  }
-
-  def blockAccesses: Long = store.accesses
-  def resetCounters(): Unit = store.resetAccesses()
 
   def sizeBytes: Long = {
     val models = (level0 +: (level1 ++ level2)).map(m => 8L * m.paramCount).sum
@@ -140,20 +128,21 @@ final class ZmIndex private (
 
 object ZmIndex {
 
-  /** Build the three-level ZM over `pts`.
-    *
-    * @param bits    Z-curve resolution per dimension (grid of 2^bits ×
-    *                2^bits cells — the fixed-resolution grid whose
-    *                uneven curve-value gaps RSMI's rank space avoids)
-    * @param epochs  SGD epochs per sub-model
+  /** Z-curve resolution per dimension: a 2^16 × 2^16 grid, the fixed
+    * grid whose uneven curve-value gaps RSMI's rank space avoids.
     */
-  def build(pts: Array[Point], B: Int = 100, bits: Int = 16,
-            epochs: Int = 150, lr: Double = 0.01, seed: Long = 23,
-            maxTrainSample: Int = 20000): ZmIndex = {
+  private[repro] val Bits = 16
+  private val ZMax = math.pow(2.0, 2.0 * Bits) - 1
+  private val Lr = 0.01              // SGD learning rate (paper: 0.01)
+  private val Seed = 23L             // the root model's
+  private val MaxTrainSample = 20000 // a model trains on every max(1, m / 20 000)-th of its m points
+  val DefaultEpochs = 150            // SGD epochs per sub-model
+
+  /** Build the three-level ZM over `pts`. */
+  def build(pts: Array[Point], B: Int = 100, epochs: Int = DefaultEpochs): ZmIndex = {
     require(pts.nonEmpty)
     val n = pts.length
-    val zMax = math.pow(2.0, 2.0 * bits) - 1
-    val z = pts.map(p => ZCurve.zOfUnit(bits, p.x, p.y))
+    val z = pts.map(p => ZCurve.zOfUnit(Bits, p.x, p.y))
     val byZ = Array.tabulate(n)(identity).sortWith { (a, b) =>
       if (z(a) != z(b)) z(a) < z(b) else pts(a).id < pts(b).id
     }
@@ -166,41 +155,41 @@ object ZmIndex {
 
     def trainOn(idx: Array[Int], hidden: Int, s: Long): Mlp = {
       val mlp = new Mlp(1, hidden, s)
-      val step = math.max(1, idx.length / maxTrainSample)
+      val step = math.max(1, idx.length / MaxTrainSample)
       val m = (idx.length + step - 1) / step
       val xs = new Array[Double](m)
       val ys = new Array[Double](m)
       var i = 0
       var j = 0
       while (i < idx.length) {
-        xs(j) = zs(idx(i)).toDouble / zMax
+        xs(j) = zs(idx(i)).toDouble / ZMax
         ys(j) = if (n <= 1) 0.0 else idx(i).toDouble / (n - 1)
         j += 1
         i += step
       }
-      mlp.fit(xs, ys, epochs, lr)
+      mlp.fit(xs, ys, epochs, Lr)
       mlp
     }
 
     // RMI training, level by level (§2): each level's models train on
     // the subset the previous level routes to them.
     val allIdx = Array.tabulate(n)(identity) // index into `ordered`
-    val level0 = trainOn(allIdx, Mlp.hiddenFor(1, math.min(100, m1)), seed)
+    val level0 = trainOn(allIdx, Mlp.hiddenFor(1, math.min(100, m1)), Seed)
     val assign1 = allIdx.groupBy { i =>
-      math.min(m1 - 1, math.max(0, (level0.predict1(zs(i).toDouble / zMax) * m1).toInt))
+      math.min(m1 - 1, math.max(0, (level0.predict1(zs(i).toDouble / ZMax) * m1).toInt))
     }
     val level1 = Array.tabulate(m1) { j =>
       trainOn(assign1.getOrElse(j, Array.empty[Int]),
-              Mlp.hiddenFor(1, math.min(100, m2)), seed + 1 + j)
+              Mlp.hiddenFor(1, math.min(100, m2)), Seed + 1 + j)
     }
     val assign2 = allIdx.groupBy { i =>
-      val zn = zs(i).toDouble / zMax
+      val zn = zs(i).toDouble / ZMax
       val j1 = math.min(m1 - 1, math.max(0, (level0.predict1(zn) * m1).toInt))
       math.min(m2 - 1, math.max(0, (level1(j1).predict1(zn) * m2).toInt))
     }
     val level2 = Array.tabulate(m2) { j =>
       trainOn(assign2.getOrElse(j, Array.empty[Int]),
-              Mlp.hiddenFor(1, math.min(100, numBlks)), seed + 1000 + j)
+              Mlp.hiddenFor(1, math.min(100, numBlks)), Seed + 1000 + j)
     }
 
     // Error bounds per leaf model (Eq. 4/5, Table 4).
@@ -210,7 +199,7 @@ object ZmIndex {
     // over-predictions, errA under-predictions (cf. RsmiBuilder).
     for ((j, idx) <- assign2; i <- idx) {
       val actual = i / B
-      val pred = level2(j).slot1(zs(i).toDouble / zMax, numBlks)
+      val pred = level2(j).slot1(zs(i).toDouble / ZMax, numBlks)
       if (pred > actual) errL(j) = math.max(errL(j), pred - actual)
       else errA(j) = math.max(errA(j), actual - pred)
     }
@@ -222,6 +211,6 @@ object ZmIndex {
     val minZ = Array.tabulate(store.originalCount)(b => zs(b * B))
 
     val (pmfX, pmfY) = Pmf.buildXY(pts)
-    new ZmIndex(bits, level0, level1, level2, errL, errA, store, minZ, pmfX, pmfY, n.toLong)
+    new ZmIndex(level0, level1, level2, errL, errA, store, minZ, pmfX, pmfY, n.toLong)
   }
 }

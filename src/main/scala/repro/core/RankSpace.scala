@@ -22,27 +22,32 @@ object RankSpace {
     val rankX = new Array[Int](n)
     val rankY = new Array[Int](n)
     val idx = Array.tabulate(n)(identity)
+    val byX = sortByX(pts, idx)
+    var i = 0
+    while (i < n) { rankX(byX(i)) = i; i += 1 }
+    val byY = sortByY(pts, idx)
+    i = 0
+    while (i < n) { rankY(byY(i)) = i; i += 1 }
+    (rankX, rankY)
+  }
 
-    val byX = idx.sortWith { (a, b) =>
+  /** `idx`, indices into `pts`, sorted by x, then y, then id. */
+  private[core] def sortByX(pts: Array[Point], idx: Array[Int]): Array[Int] =
+    idx.sortWith { (a, b) =>
       val pa = pts(a); val pb = pts(b)
       if (pa.x != pb.x) pa.x < pb.x
       else if (pa.y != pb.y) pa.y < pb.y
       else pa.id < pb.id
     }
-    var i = 0
-    while (i < n) { rankX(byX(i)) = i; i += 1 }
 
-    val byY = idx.sortWith { (a, b) =>
+  /** `idx`, indices into `pts`, sorted by y, then x, then id. */
+  private[core] def sortByY(pts: Array[Point], idx: Array[Int]): Array[Int] =
+    idx.sortWith { (a, b) =>
       val pa = pts(a); val pb = pts(b)
       if (pa.y != pb.y) pa.y < pb.y
       else if (pa.x != pb.x) pa.x < pb.x
       else pa.id < pb.id
     }
-    i = 0
-    while (i < n) { rankY(byY(i)) = i; i += 1 }
-
-    (rankX, rankY)
-  }
 
   /** §3.1 steps 1–3: `pts` ordered by the Hilbert curve value of
     * their rank-space cells (a bijection, so no two points tie). HRR

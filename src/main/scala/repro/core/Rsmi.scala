@@ -4,7 +4,7 @@ import scala.collection.immutable.ArraySeq
 import scala.collection.mutable
 import repro.spatial._
 
-/** Build/runtime parameters of the RSMI (defaults follow §6.1).
+/** Build parameters of the RSMI (defaults follow §6.1).
   *
   * @param B              block capacity (paper: 100)
   * @param N              partition threshold: a leaf model handles at
@@ -13,30 +13,20 @@ import repro.spatial._
   *                       default keeps CI-scale builds tractable,
   *                       DESIGN.md §5)
   * @param internalEpochs SGD epochs for internal (partitioning) models
-  * @param maxTrainSample sets the training sample of an internal model:
-  *                       of a partition's n points, every
-  *                       max(1, n / maxTrainSample)-th (integer
-  *                       division) is used, so up to
-  *                       2·maxTrainSample − 1 points, not a hard cap
-  *                       (ROADMAP item 4). [[RsmiSpark.build]] fits the
-  *                       root on a sample of at most maxTrainSample
-  *                       points. Predictions stay deterministic for all
-  *                       points, which is all the learned grouping needs
-  * @param lr             SGD learning rate (paper: 0.01)
-  * @param gamma          pieces of the kNN CDF approximation (paper: 100)
-  * @param delta          Δ of Eq. 6 (paper: 0.01)
   */
-final case class RsmiConfig(
-    B: Int = 100,
-    N: Int = 10000,
-    leafEpochs: Int = 150,
-    internalEpochs: Int = 60,
-    maxTrainSample: Int = 20000,
-    lr: Double = 0.01,
-    seed: Long = 17,
-    gamma: Int = 100,
-    delta: Double = 0.01) {
+final case class RsmiConfig(B: Int = 100, N: Int = 10000, leafEpochs: Int = 150, internalEpochs: Int = 60) {
   require(N >= 2 * B, s"partition threshold N=$N must be >= 2*B=${2 * B}")
+  def lr: Double = 0.01                  // SGD learning rate (paper: 0.01)
+  def seed: Long = 17                    // the root model's; a child's derives from its parent's and its slot
+  def gamma: Int = 100                   // pieces of the kNN CDF approximation (paper: 100)
+  def delta: Double = LearnedIndex.Delta // Δ of Eq. 6 (paper: 0.01)
+  /** An internal model trains on every max(1, n / maxTrainSample)-th of
+    * its partition's n points (integer division): a stride, not a cap,
+    * so all n train for n in [20 000, 40 000), and up to 39 999 in all
+    * (ROADMAP item 4). [[RsmiSpark.build]] fits the root on a sample of
+    * at most 20 000 points.
+    */
+  def maxTrainSample: Int = 20000
 }
 
 /** A sub-model's input normalizer: affine map of the partition's MBR
@@ -155,18 +145,19 @@ final class LeafNode(
   * `windowQuery` (approximate, no false positives), `knnQuery`
   * (approximate), and the MBR-based exact variants `windowQueryExact` /
   * `knnQueryExact` (RSMIa). Updates: §5's `insert` / `delete`, plus
-  * `rebuilt()` for the RSMIr periodic rebuild.
+  * `rebuilt()` for the RSMIr periodic rebuild. Windows, kNN, the
+  * removal step of a delete and the access counter come from
+  * [[LearnedIndex]], which the ZM baseline shares.
   */
 final class Rsmi(
     val root: RsmiNode,
-    val store: BlockStore,
-    val pmfX: Pmf,
-    val pmfY: Pmf,
+    store: BlockStore,
+    pmfX: Pmf,
+    pmfY: Pmf,
     val cfg: RsmiConfig,
-    val buildCardinality: Long) extends Serializable {
+    val buildCardinality: Long) extends LearnedIndex(store, pmfX, pmfY, buildCardinality) {
 
-  /** Number of live points currently indexed (maintained by updates). */
-  var cardinality: Long = buildCardinality
+  def name: String = "RSMI"
 
   // ----------------------------------------------------------------- stats
 
@@ -294,12 +285,6 @@ final class Rsmi(
     (begin, end)
   }
 
-  /** Algorithm 2 (approximate; never returns a point outside `r`). */
-  def windowQuery(r: Rect): Seq[Point] = {
-    val (begin, end) = windowRange(r)
-    store.windowScan(begin, end, r)
-  }
-
   /** RSMIa exact window query: R-tree-style traversal over sub-model
     * MBRs, then, at each leaf, a read of every block whose MBR meets
     * `r`. A block the MBR shows to lie inside `r` is returned whole,
@@ -322,13 +307,6 @@ final class Rsmi(
   }
 
   // ------------------------------------------------------------ kNN query
-
-  /** Algorithm 3: expanding-window approximate kNN, initial region
-    * sized by the PMF skew estimates (Eq. 6). Shared implementation in
-    * [[ExpandingKnn]].
-    */
-  def knnQuery(qx: Double, qy: Double, k: Int): Seq[Point] =
-    ExpandingKnn.knn(store, pmfX, pmfY, cardinality, cfg.delta, qx, qy, k)(windowRange)
 
   /** Exact kNN via best-first traversal (RSMIa with MBRs): sub-models
     * and blocks are queued by MINDIST², a block's points offered to the
@@ -385,13 +363,12 @@ final class Rsmi(
     cardinality += 1
   }
 
-  /** §5 deletion: scans the groups of the predicted range
+  /** §5 deletion's search: the groups of the predicted range
     * [pred − errl, pred + erra] upward from its low end (not outward
-    * from the prediction, as [[pointQuery]] does), then removes the
-    * first match by swap-with-last. Blocks are never deallocated
-    * (error-bound validity).
+    * from the prediction, as [[pointQuery]] does); the first match is
+    * removed.
     */
-  def delete(x: Double, y: Double): Boolean = {
+  protected def deleteSlot(x: Double, y: Double): Slot = {
     val leaf = leafFor(x, y)
     val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
     val lo = math.max(leaf.firstBlk, gpred - leaf.errL)
@@ -399,14 +376,10 @@ final class Rsmi(
     var g = lo
     while (g <= hi) {
       val s = store.findInGroup(g, x, y)
-      if (s.found) {
-        store.peek(s.block).removeAt(s.index)
-        cardinality -= 1
-        return true
-      }
+      if (s.found) return s
       g += 1
     }
-    false
+    new Slot(-1L)
   }
 
   /** RSMIr periodic rebuild: retrain the whole index on the current
@@ -415,7 +388,4 @@ final class Rsmi(
     * the root).
     */
   def rebuilt(): Rsmi = RsmiBuilder.build(store.allPoints.toArray, cfg)
-
-  def resetCounters(): Unit = store.resetAccesses()
-  def blockAccesses: Long = store.accesses
 }

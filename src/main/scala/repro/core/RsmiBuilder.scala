@@ -96,35 +96,18 @@ object RsmiBuilder {
     val n = pts.length
     val order = math.max(1, Integer.numberOfTrailingZeros(s))
     val cellOf = new Array[Int](n)
-    val byX = Array.tabulate(n)(identity).sortWith { (a, b) =>
-      val pa = pts(a); val pb = pts(b)
-      if (pa.x != pb.x) pa.x < pb.x
-      else if (pa.y != pb.y) pa.y < pb.y
-      else pa.id < pb.id
-    }
-    val colOf = new Array[Int](n)
+    val byX = RankSpace.sortByX(pts, Array.tabulate(n)(identity))
+    // Column c holds the i of byX with ⌊i·s/n⌋ = c: the slice from ⌈c·n/s⌉.
+    def colStart(c: Int): Int = ((c.toLong * n + s - 1) / s).toInt
     val xCuts = new Array[Double](s - 1)
-    var i = 0
-    while (i < n) {
-      val c = ((i.toLong * s) / n).toInt
-      colOf(byX(i)) = c
-      if (i > 0) {
-        val cPrev = (((i - 1).toLong * s) / n).toInt
-        if (c != cPrev) xCuts(c - 1) = pts(byX(i)).x
-      }
-      i += 1
-    }
     val yCuts = Array.ofDim[Array[Double]](s)
     var c = 0
     while (c < s) {
-      val colIdx = byX.filter(colOf(_) == c)
-      val m = colIdx.length
-      val byY = colIdx.sortWith { (a, b) =>
-        val pa = pts(a); val pb = pts(b)
-        if (pa.y != pb.y) pa.y < pb.y
-        else if (pa.x != pb.x) pa.x < pb.x
-        else pa.id < pb.id
-      }
+      val start = colStart(c)
+      val end = colStart(c + 1)
+      if (c > 0 && start < end) xCuts(c - 1) = pts(byX(start)).x
+      val byY = RankSpace.sortByY(pts, byX.slice(start, end))
+      val m = byY.length
       val cuts = new Array[Double](s - 1)
       var j = 0
       while (j < m) {
@@ -171,7 +154,7 @@ object RsmiBuilder {
 
     val hidden = Mlp.hiddenFor(2, math.min(100, cells))
     val mlp = new Mlp(2, hidden, seed)
-    val step = math.max(1, n / math.max(1, cfg.maxTrainSample))
+    val step = math.max(1, n / cfg.maxTrainSample)
     val m = (n + step - 1) / step
     val xs = new Array[Double](2 * m)
     val ys = new Array[Double](m)

@@ -3,22 +3,10 @@ package repro.harness
 import repro.core.Rsmi
 import repro.spatial.{Point, Rect}
 
-/** RSMI behind the common index facade: the approximate (learned-only)
-  * query paths of §4.
-  */
-final class RsmiAdapter(val rsmi: Rsmi) extends SpatialIndexApi {
-  val name = "RSMI"
-  def pointQuery(x: Double, y: Double): Option[Point] = rsmi.pointQuery(x, y)
-  def windowQuery(r: Rect): Seq[Point] = rsmi.windowQuery(r)
-  def knnQuery(x: Double, y: Double, k: Int): Seq[Point] = rsmi.knnQuery(x, y, k)
-  def insert(p: Point): Unit = rsmi.insert(p)
-  def blockAccesses: Long = rsmi.blockAccesses
-  def resetCounters(): Unit = rsmi.resetCounters()
-  def sizeBytes: Long = rsmi.sizeBytes
-}
-
-/** RSMIa (§4.2 end, §6.2.3): the same structure, exact query answers
-  * via the per-sub-model MBR traversal.
+/** RSMIa (§4.2 end, §6.2.3): the same structure as [[Rsmi]], which is
+  * its own `SpatialIndexApi` with the approximate query paths of §4,
+  * answering windows and kNN exactly via the per-sub-model MBR
+  * traversal.
   */
 final class RsmiaAdapter(val rsmi: Rsmi) extends SpatialIndexApi {
   val name = "RSMIa"

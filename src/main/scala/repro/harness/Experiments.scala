@@ -116,7 +116,7 @@ object Experiments {
     emit(nValues.map { nn =>
       val cfg = defaultCfg.copy(N = nn)
       val (rsmi, buildNs) = Harness.timeNanos(RsmiBuilder.build(pts, cfg))
-      val (us, blk) = measurePointQueries(new RsmiAdapter(rsmi), qs)
+      val (us, blk) = measurePointQueries(rsmi, qs)
       f"[Table3] N=$nn%-6d build_s=${buildNs / 1e9}%-8.1f height=${rsmi.height}%-3d " +
         f"size_MB=${rsmi.sizeBytes / 1e6}%-7.2f blk=${fmt(blk)}%-7s time_us=${fmt(us)}%s"
     })
@@ -130,7 +130,7 @@ object Experiments {
   def table4(n: Int = benchN): Seq[String] = {
     emit(SpatialData.all.map { d =>
       val pts = SpatialData.local(d, n)
-      val zm = ZmIndex.build(pts, defaultCfg.B, epochs = 150)
+      val zm = ZmIndex.build(pts, defaultCfg.B)
       val rsmi = RsmiBuilder.build(pts, defaultCfg)
       val (zl, za) = zm.maxErrBounds
       val (rl, ra) = rsmi.maxErrBounds
@@ -272,7 +272,7 @@ object Experiments {
       val kqs = knnQuerySet(allPts, nQueries, 25)
       for (b <- built) {
         // RSMI and RSMIa share one structure (as in the paper); the
-        // batch is inserted once, through the RSMI adapter.
+        // batch is inserted once, through RSMI.
         val ns =
           if (b.index.name == "RSMIa") 0L
           else Harness.timeNanos(batch.foreach(b.index.insert))._2
@@ -288,7 +288,7 @@ object Experiments {
       val (nr, rbNs) = Harness.timeNanos(rsmir.rebuilt())
       rsmir = nr
       rsmirNs += insNs + rbNs
-      val (pus, pblk) = measurePointQueries(new RsmiAdapter(rsmir), pqs)
+      val (pus, pblk) = measurePointQueries(rsmir, pqs)
       lines += f"[Fig17] ins_pct=$pct%-3d index=RSMIr ins_us=${rsmirNs / 1000.0 / (n.toLong * pct / 100)}%-8.2f " +
         f"pq_us=${fmt(pus)}%-7s pq_blk=${fmt(pblk)}%-7s wq_ms=-        wq_rec=-      knn_ms=-        knn_rec=-"
     }

@@ -1,7 +1,7 @@
 package repro.harness
 
 import repro.baselines._
-import repro.core.{Rsmi, RsmiBuilder, RsmiConfig}
+import repro.core.{RsmiBuilder, RsmiConfig}
 import repro.spatial.{Point, Rect}
 
 /** Shared measurement utilities for the benches and jobs: brute-force
@@ -91,7 +91,7 @@ object Harness {
     * the paper.
     */
   def buildAll(pts: Array[Point], cfg: RsmiConfig,
-               zmEpochs: Int = 150,
+               zmEpochs: Int = ZmIndex.DefaultEpochs,
                include: Set[String] = Set.empty): Seq[Built] = {
     def wanted(n: String) = include.isEmpty || include.contains(n)
     val out = scala.collection.mutable.ArrayBuffer.empty[Built]
@@ -113,7 +113,7 @@ object Harness {
     }
     if (wanted("RSMI") || wanted("RSMIa")) {
       val (rsmi, t) = timeNanos(RsmiBuilder.build(pts, cfg))
-      if (wanted("RSMI")) out += Built(new RsmiAdapter(rsmi), t / 1000000)
+      if (wanted("RSMI")) out += Built(rsmi, t / 1000000)
       if (wanted("RSMIa")) out += Built(new RsmiaAdapter(rsmi), t / 1000000)
     }
     if (wanted("ZM")) {

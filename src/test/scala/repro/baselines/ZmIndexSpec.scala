@@ -3,7 +3,7 @@ package repro.baselines
 import org.scalatest.funsuite.AnyFunSuite
 import repro.data.SpatialData
 import repro.harness.Harness
-import repro.spatial.{Point, Rect}
+import repro.spatial.{Point, Rect, ZCurve}
 
 class ZmIndexSpec extends AnyFunSuite {
 
@@ -99,5 +99,40 @@ class ZmIndexSpec extends AnyFunSuite {
     val avg = z.blockAccesses.toDouble / sample.length
     // log2 of the error range, not the error range itself.
     assert(avg < 15, s"avg accesses $avg")
+  }
+
+  /** A point inside the 2^-16 Z-cell `z`, at fraction (fx, fy) of it. */
+  private def inCell(id: Long, z: Long, fx: Double, fy: Double): Point = {
+    val (ix, iy) = ZCurve.deinterleave(ZmIndex.Bits, z)
+    val side = (1L << ZmIndex.Bits).toDouble
+    Point(id, (ix + fx) / side, (iy + fy) / side)
+  }
+
+  test("point query and delete find every point of a Z-value run over three blocks") {
+    val B = 50
+    val cell = ZCurve.zOfUnit(ZmIndex.Bits, 0.5, 0.5)
+    val run = Array.tabulate(3 * B)(i => inCell(5000000 + i, cell, 0.05 + 0.06 * (i % 15), 0.05 + 0.09 * (i / 15)))
+    assert(run.map(p => ZCurve.zOfUnit(ZmIndex.Bits, p.x, p.y)).distinct.sameElements(Seq(cell)))
+    val z = ZmIndex.build(SpatialData.local(SpatialData.Uniform, 4000) ++ run, B = B, epochs = 60)
+    run.foreach(p => assert(z.pointQuery(p.x, p.y).contains(p), s"missing $p"))
+    run.foreach(p => assert(z.delete(p.x, p.y), s"cannot delete $p"))
+    run.foreach(p => assert(z.pointQuery(p.x, p.y).isEmpty, s"deleted $p still found"))
+  }
+
+  test("point query and delete find both points of a Z-value tie that straddles a block boundary") {
+    val B = 50
+    val base = SpatialData.local(SpatialData.Uniform, 2000)
+    val zs = base.map(p => ZCurve.zOfUnit(ZmIndex.Bits, p.x, p.y)).sorted
+    // The pair takes sorted positions kB − 1 and kB: its lower-id point
+    // ends block k − 1 and the other starts block k.
+    for (k <- 3 until 2000 / B by 4) {
+      val tie = zs(k * B - 2) + 1
+      assert(tie < zs(k * B - 1))
+      val pair = Seq(inCell(9000000, tie, 0.25, 0.5), inCell(9000001, tie, 0.75, 0.5))
+      val z = ZmIndex.build(base ++ pair, B = B, epochs = 30)
+      pair.foreach(p => assert(z.pointQuery(p.x, p.y).contains(p), s"boundary $k: missing $p"))
+      pair.foreach(p => assert(z.delete(p.x, p.y), s"boundary $k: cannot delete $p"))
+      pair.foreach(p => assert(z.pointQuery(p.x, p.y).isEmpty, s"boundary $k: deleted $p still found"))
+    }
   }
 }

@@ -34,6 +34,21 @@ class SlotKernelSpec extends AnyFunSuite {
     if (got != want) fail(s"slotOf($x, $y, $slots) = $got, but the prediction ${m.predict(x, y)} rounds to $want")
   }
 
+  /** Bisects between `below` (slot(below) < e) and `above`
+    * (slot(above) >= e), in either order, down to adjacent doubles, and
+    * returns the last pair, still on either side of edge `e`.
+    */
+  private def bisectEdge(slot: Double => Int, below: Double, above: Double, e: Int): (Double, Double) = {
+    var lo = below
+    var hi = above
+    var mid = (lo + hi) / 2
+    while (mid != lo && mid != hi) {
+      if (slot(mid) >= e) hi = mid else lo = mid
+      mid = (lo + hi) / 2
+    }
+    (lo, hi)
+  }
+
   /** For up to `maxEdges` of the slot edges the prediction crosses
     * between a and b, bisects the segment a → b on its parameter down to
     * adjacent doubles, and checks both ends and the ulps of x and y
@@ -50,13 +65,7 @@ class SlotKernelSpec extends AnyFunSuite {
       if (crossed <= maxEdges) (1 to crossed).map(_ + math.min(s0, s1))
       else Seq.fill(maxEdges)(math.min(s0, s1) + 1 + rnd.nextInt(crossed))
     edges.foreach { e =>
-      var lo = lowEnd  // slot(lo) < e
-      var hi = highEnd // slot(hi) >= e
-      var mid = (lo + hi) / 2
-      while (mid != lo && mid != hi) {
-        if (slot(mid) >= e) hi = mid else lo = mid
-        mid = (lo + hi) / 2
-      }
+      val (lo, hi) = bisectEdge(slot, lowEnd, highEnd, e)
       Seq(lo, hi).foreach { t =>
         val (x, y) = at(t)
         for (px <- Seq(Math.nextDown(x), x, Math.nextUp(x)); py <- Seq(Math.nextDown(y), y, Math.nextUp(y)))
@@ -134,8 +143,8 @@ class SlotKernelSpec extends AnyFunSuite {
     val pts = SpatialData.local(SpatialData.Skewed, 20000)
     val zm = ZmIndex.build(pts, B = 50, epochs = 60)
     val numBlks = zm.store.originalCount
-    val zMax = math.pow(2.0, 2.0 * zm.bits) - 1
-    val keys = pts.map(p => ZCurve.zOfUnit(zm.bits, p.x, p.y).toDouble / zMax)
+    val zMax = math.pow(2.0, 2.0 * ZmIndex.Bits) - 1
+    val keys = pts.map(p => ZCurve.zOfUnit(ZmIndex.Bits, p.x, p.y).toDouble / zMax)
     val rnd = new java.util.Random(5)
     zm.level2.foreach { m =>
       for (s <- Seq(numBlks, 2, 7, 8)) {
@@ -158,6 +167,48 @@ class SlotKernelSpec extends AnyFunSuite {
         }
       }
     }
+  }
+
+  test("slot1 names the slot of predict1 on both sides of every slot edge of random and lightly fitted 1-input models") {
+    val rnd = new java.util.Random(13)
+    def sym(r: Double) = r * (2 * rnd.nextDouble() - 1)
+    // Random weights: steep, shifted hidden units whose summed output
+    // sweeps across [0, 1] as the key goes over [-1, 2].
+    val random = Seq(4, 5, 8, 17, 33).flatMap(h => (0 until 4).map { i =>
+      val m = new Mlp(1, h, 100 + 10 * h + i)
+      m.w1.indices.foreach(u => m.w1(u) = sym(40))
+      m.b1.indices.foreach(u => m.b1(u) = sym(20))
+      m.w2.indices.foreach(u => m.w2(u) = sym(2.0 / math.sqrt(h)))
+      m.b2 = 0.5 - 0.5 * m.w2.sum
+      m
+    })
+    // A few epochs on skewed keys, as a ZM model early in training.
+    val xs = Array.tabulate(400)(i => math.pow(i / 399.0, 4))
+    val ys = Array.tabulate(400)(i => i / 399.0)
+    val fitted = Seq(4, 5, 8, 17, 51).flatMap(h => (1 to 3).map { epochs =>
+      val m = new Mlp(1, h, 200 + 10 * h + epochs)
+      m.fit(xs, ys, epochs)
+      m
+    })
+    val keys = Array.tabulate(3001)(i => -1.0 + i / 1000.0)
+    var edges = 0
+    for (m <- random ++ fitted; s <- 2 to 8) {
+      def slot(k: Double) = Mlp.slot(m.predict1(k), s)
+      def check(k: Double) =
+        if (m.slot1(k, s) != slot(k)) fail(s"slot1($k, $s) = ${m.slot1(k, s)}, but predict1 rounds to ${slot(k)}")
+      keys.foreach(check)
+      (1 until keys.length).foreach { i =>
+        val (a, b) = (keys(i - 1), keys(i))
+        val (sa, sb) = (slot(a), slot(b))
+        (math.min(sa, sb) + 1 to math.max(sa, sb)).foreach { e =>
+          val (lo, hi) = if (sa < sb) bisectEdge(slot, a, b, e) else bisectEdge(slot, b, a, e)
+          Seq(Math.nextDown(lo), lo, Math.nextUp(lo), Math.nextDown(hi), hi, Math.nextUp(hi)).foreach(check)
+          edges += 1
+        }
+      }
+    }
+    assert(edges > 500, s"only $edges slot edges crossed")
+    info(s"${random.length + fitted.length} models, $edges slot edges")
   }
 
   test("the sigmoid table is non-decreasing and equals the forward pass's sigmoid at every grid point") {
