@@ -21,8 +21,9 @@ import repro.core.{LearnedIndex, Pmf}
   * Updates (§6.2.5 adapts RSMI's algorithms): a new point is placed in
   * the block its Z-value binary-searches to, overflowing into a chained
   * inserted block, so Z-order locality — and hence query correctness —
-  * is preserved. Windows, kNN and the removal step of a delete are
-  * RSMI's own, from [[LearnedIndex]].
+  * is preserved. Point queries, windows, kNN and updates are RSMI's
+  * own, from [[LearnedIndex]]; a point query and a delete both search
+  * with `find`.
   */
 final class ZmIndex private (
     level0: Mlp,
@@ -80,7 +81,7 @@ final class ZmIndex private (
     * run of equal Z-values can span any number of blocks, and the error
     * range covers every block of the run.
     */
-  private def find(x: Double, y: Double): Slot = {
+  protected def find(x: Double, y: Double): Slot = {
     val z = zOf(x, y)
     val (lo, hi) = errRange(z)
     var g = locate(z, lo, hi)
@@ -92,13 +93,6 @@ final class ZmIndex private (
     s
   }
 
-  def pointQuery(x: Double, y: Double): Option[Point] = {
-    val s = find(x, y)
-    if (s.found) Some(store.peek(s.block).point(s.index)) else None
-  }
-
-  protected def deleteSlot(x: Double, y: Double): Slot = find(x, y)
-
   /** §4.2 for Z-curves: ql/qh are the bottom-left and top-right window
     * corners; scan the predicted block range between them.
     */
@@ -108,12 +102,11 @@ final class ZmIndex private (
     (lo, math.max(lo, hi))
   }
 
-  /** Places `p` in the group its Z-value locates to. */
-  def insert(p: Point): Unit = {
+  /** The group `p`'s Z-value locates to. */
+  protected def insertGroup(p: Point): Int = {
     val z = zOf(p.x, p.y)
     val (lo, hi) = errRange(z)
-    store.appendToGroup(locate(z, lo, hi), p)
-    cardinality += 1
+    locate(z, lo, hi)
   }
 
   def sizeBytes: Long = {

@@ -145,9 +145,9 @@ final class LeafNode(
   * `windowQuery` (approximate, no false positives), `knnQuery`
   * (approximate), and the MBR-based exact variants `windowQueryExact` /
   * `knnQueryExact` (RSMIa). Updates: §5's `insert` / `delete`, plus
-  * `rebuilt()` for the RSMIr periodic rebuild. Windows, kNN, the
-  * removal step of a delete and the access counter come from
-  * [[LearnedIndex]], which the ZM baseline shares.
+  * `rebuilt()` for the RSMIr periodic rebuild. Point queries, windows,
+  * kNN, updates and the access counter come from [[LearnedIndex]],
+  * which the ZM baseline shares; RSMI supplies their predictions.
   */
 final class Rsmi(
     val root: RsmiNode,
@@ -161,59 +161,41 @@ final class Rsmi(
 
   // ----------------------------------------------------------------- stats
 
-  def height: Int = {
-    def h(nd: RsmiNode): Int = nd match {
-      case _: LeafNode     => 1
-      case in: InternalNode => 1 + in.children.iterator.filter(_ != null).map(h).max
-    }
-    h(root)
-  }
+  def height: Int = stats.height
+  def numModels: Int = stats.models
 
   /** Point-weighted average number of sub-models on a root→block path. */
-  def avgDepth: Double = {
-    var sumDepth = 0.0
-    var sumPts   = 0L
-    def walk(nd: RsmiNode, d: Int): Unit = nd match {
-      case lf: LeafNode =>
-        var g = lf.firstBlk
-        var c = 0L
-        while (g <= lf.lastBlk) { c += store.peek(g).size; g += 1 }
-        sumDepth += d.toDouble * c
-        sumPts   += c
-      case in: InternalNode =>
-        in.children.foreach(ch => if (ch != null) walk(ch, d + 1))
-    }
-    walk(root, 1)
-    if (sumPts == 0) 0.0 else sumDepth / sumPts
-  }
-
-  def numModels: Int = {
-    def cnt(nd: RsmiNode): Int = nd match {
-      case _: LeafNode      => 1
-      case in: InternalNode => 1 + in.children.iterator.filter(_ != null).map(cnt).sum
-    }
-    cnt(root)
-  }
+  def avgDepth: Double = stats.avgDepth
 
   /** Index size estimate: model parameters + node bookkeeping + blocks. */
-  def sizeBytes: Long = {
-    def sz(nd: RsmiNode): Long = nd match {
-      case lf: LeafNode     => 8L * lf.model.paramCount + 64L
-      case in: InternalNode =>
-        8L * in.model.paramCount + 8L * in.cells + 64L +
-          in.children.iterator.filter(_ != null).map(sz).sum
-    }
-    sz(root) + store.sizeBytes
-  }
+  def sizeBytes: Long = stats.modelBytes + store.sizeBytes
 
-  def maxErrBounds: (Int, Int) = {
-    var l = 0; var a = 0
-    def walk(nd: RsmiNode): Unit = nd match {
-      case lf: LeafNode     => l = math.max(l, lf.errL); a = math.max(a, lf.errA)
-      case in: InternalNode => in.children.foreach(ch => if (ch != null) walk(ch))
+  def maxErrBounds: (Int, Int) = { val st = stats; (st.errL, st.errA) }
+
+  /** One walk over the sub-models, leaves in tree order. */
+  private def stats: Rsmi.Stats = {
+    var height = 0; var models = 0; var bytes = 0L
+    var sumDepth = 0.0; var sumPts = 0L
+    var errL = 0; var errA = 0
+    def walk(nd: RsmiNode, d: Int): Unit = {
+      height = math.max(height, d)
+      models += 1
+      nd match {
+        case lf: LeafNode =>
+          bytes += 8L * lf.model.paramCount + 64L
+          var g = lf.firstBlk
+          var c = 0L
+          while (g <= lf.lastBlk) { c += store.peek(g).size; g += 1 }
+          sumDepth += d.toDouble * c
+          sumPts   += c
+          errL = math.max(errL, lf.errL); errA = math.max(errA, lf.errA)
+        case in: InternalNode =>
+          bytes += 8L * in.model.paramCount + 8L * in.cells + 64L
+          in.children.foreach(ch => if (ch != null) walk(ch, d + 1))
+      }
     }
-    walk(root)
-    (l, a)
+    walk(root, 1)
+    Rsmi.Stats(height, models, if (sumPts == 0) 0.0 else sumDepth / sumPts, bytes, errL, errA)
   }
 
   // --------------------------------------------------------------- descend
@@ -232,34 +214,35 @@ final class Rsmi(
     throw new IllegalStateException("unreachable")
   }
 
+  /** Alg 1 lines 1–4 and Eq. 4/5: the leaf's predicted original block for
+    * (x, y) and its error range [pred − errl, pred + erra], clamped to
+    * the leaf's own blocks.
+    */
+  private def predictRange(x: Double, y: Double): Rsmi.BlockRange = {
+    val leaf = leafFor(x, y)
+    val pred = leaf.firstBlk + leaf.predictLocal(x, y)
+    new Rsmi.BlockRange(math.max(leaf.firstBlk, pred - leaf.errL), pred, math.min(leaf.lastBlk, pred + leaf.errA))
+  }
+
   // ---------------------------------------------------------- point query
 
-  /** Algorithm 1. Returns the indexed point with these coordinates, if
-    * any. The scan expands outward from the predicted block within
-    * [pred − errl, pred + erra] (clamped to the leaf's block range), so
-    * the average number of accesses tracks the average (not maximum)
-    * prediction error — matching the paper's measured 1.3–1.5 accesses
-    * against error bounds of tens of blocks.
+  /** Algorithm 1's search, which §5's delete shares: the groups of the
+    * predicted range, outward from the predicted block, so the average
+    * number of accesses tracks the average (not maximum) prediction
+    * error — matching the paper's measured 1.3–1.5 accesses against
+    * error bounds of tens of blocks.
     */
-  def pointQuery(x: Double, y: Double): Option[Point] = {
-    val leaf = leafFor(x, y)
-    val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
-    val lo = math.max(leaf.firstBlk, gpred - leaf.errL)
-    val hi = math.min(leaf.lastBlk, gpred + leaf.errA)
+  protected def find(x: Double, y: Double): Slot = {
+    val r = predictRange(x, y)
+    val maxD = math.max(r.pred - r.lo, r.hi - r.pred)
+    var s = new Slot(-1L)
     var d = 0
-    val maxD = math.max(gpred - lo, hi - gpred)
-    while (d <= maxD) {
-      if (gpred + d <= hi) {
-        val s = store.findInGroup(gpred + d, x, y)
-        if (s.found) return Some(store.peek(s.block).point(s.index))
-      }
-      if (d > 0 && gpred - d >= lo) {
-        val s = store.findInGroup(gpred - d, x, y)
-        if (s.found) return Some(store.peek(s.block).point(s.index))
-      }
+    while (!s.found && d <= maxD) {
+      if (r.pred + d <= r.hi) s = store.findInGroup(r.pred + d, x, y)
+      if (!s.found && d > 0 && r.pred - d >= r.lo) s = store.findInGroup(r.pred - d, x, y)
       d += 1
     }
-    None
+    s
   }
 
   // --------------------------------------------------------- window query
@@ -270,19 +253,9 @@ final class Rsmi(
     * own range, and the range spans the min/max of the four.
     */
   def windowRange(r: Rect): (Int, Int) = {
-    var begin = Int.MaxValue
-    var end   = Int.MinValue
-    var c = 0
-    while (c < 4) {
-      val x = if ((c & 1) == 0) r.xlo else r.xhi
-      val y = if (c < 2) r.ylo else r.yhi
-      val leaf = leafFor(x, y)
-      val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
-      begin = math.min(begin, math.max(leaf.firstBlk, gpred - leaf.errL))
-      end   = math.max(end, math.min(leaf.lastBlk, gpred + leaf.errA))
-      c += 1
-    }
-    (begin, end)
+    val a = predictRange(r.xlo, r.ylo); val b = predictRange(r.xhi, r.ylo)
+    val c = predictRange(r.xlo, r.yhi); val d = predictRange(r.xhi, r.yhi)
+    (math.min(math.min(a.lo, b.lo), math.min(c.lo, d.lo)), math.max(math.max(a.hi, b.hi), math.max(c.hi, d.hi)))
   }
 
   /** RSMIa exact window query: R-tree-style traversal over sub-model
@@ -344,12 +317,11 @@ final class Rsmi(
 
   // -------------------------------------------------------------- updates
 
-  /** §5 insertion: place `p` in its predicted block, overflowing into a
-    * chained `inserted` block (exempt from error bounds). The descent
-    * widens the MBR of each node on the way to the leaf, replacing it
-    * only when `p` falls outside, so an insert allocates no path.
+  /** §5 insertion's block: the predicted one. The descent widens the
+    * MBR of each node on the way to the leaf, replacing it only when
+    * `p` falls outside, so an insert allocates no path.
     */
-  def insert(p: Point): Unit = {
+  protected def insertGroup(p: Point): Int = {
     var nd = root
     var leaf: LeafNode = null
     while (leaf == null) {
@@ -359,27 +331,7 @@ final class Rsmi(
         case in: InternalNode => nd = in.children(in.routeCell(p.x, p.y))
       }
     }
-    store.appendToGroup(leaf.firstBlk + leaf.predictLocal(p.x, p.y), p)
-    cardinality += 1
-  }
-
-  /** §5 deletion's search: the groups of the predicted range
-    * [pred − errl, pred + erra] upward from its low end (not outward
-    * from the prediction, as [[pointQuery]] does); the first match is
-    * removed.
-    */
-  protected def deleteSlot(x: Double, y: Double): Slot = {
-    val leaf = leafFor(x, y)
-    val gpred = leaf.firstBlk + leaf.predictLocal(x, y)
-    val lo = math.max(leaf.firstBlk, gpred - leaf.errL)
-    val hi = math.min(leaf.lastBlk, gpred + leaf.errA)
-    var g = lo
-    while (g <= hi) {
-      val s = store.findInGroup(g, x, y)
-      if (s.found) return s
-      g += 1
-    }
-    new Slot(-1L)
+    leaf.firstBlk + leaf.predictLocal(p.x, p.y)
   }
 
   /** RSMIr periodic rebuild: retrain the whole index on the current
@@ -388,4 +340,11 @@ final class Rsmi(
     * the root).
     */
   def rebuilt(): Rsmi = RsmiBuilder.build(store.allPoints.toArray, cfg)
+}
+
+object Rsmi {
+  /** A leaf's predicted original block and its clamped error range. */
+  private final class BlockRange(val lo: Int, val pred: Int, val hi: Int)
+
+  private final case class Stats(height: Int, models: Int, avgDepth: Double, modelBytes: Long, errL: Int, errA: Int)
 }

@@ -32,8 +32,6 @@ object Experiments {
     */
   val defaultCfg: RsmiConfig = RsmiConfig(N = 1000)
 
-  val allIndexNames: Seq[String] = Seq("Grid", "HRR", "KDB", "RR*", "RSMI", "RSMIa", "ZM")
-
   // ------------------------------------------------------------ helpers
 
   private def emit(lines: Seq[String]): Seq[String] = { lines.foreach(println); lines }

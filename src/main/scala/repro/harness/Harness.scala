@@ -93,33 +93,18 @@ object Harness {
   def buildAll(pts: Array[Point], cfg: RsmiConfig,
                zmEpochs: Int = ZmIndex.DefaultEpochs,
                include: Set[String] = Set.empty): Seq[Built] = {
-    def wanted(n: String) = include.isEmpty || include.contains(n)
-    val out = scala.collection.mutable.ArrayBuffer.empty[Built]
-    if (wanted("Grid")) {
-      val (g, t) = timeNanos(GridFile.build(pts, cfg.B))
-      out += Built(g, t / 1000000)
+    lazy val rsmi = timeNanos(RsmiBuilder.build(pts, cfg))
+    val builds: Seq[(String, () => (SpatialIndexApi, Long))] = Seq(
+      "Grid"  -> (() => timeNanos(GridFile.build(pts, cfg.B))),
+      "HRR"   -> (() => timeNanos(HrrTree.build(pts, cfg.B))),
+      "KDB"   -> (() => timeNanos(KdbTree.build(pts, cfg.B))),
+      "RR*"   -> (() => timeNanos(RStarTree.build(pts, cfg.B))),
+      "RSMI"  -> (() => rsmi),
+      "RSMIa" -> (() => (new RsmiaAdapter(rsmi._1), rsmi._2)),
+      "ZM"    -> (() => timeNanos(ZmIndex.build(pts, cfg.B, epochs = zmEpochs))))
+    builds.collect { case (name, build) if include.isEmpty || include.contains(name) =>
+      val (index, nanos) = build()
+      Built(index, nanos / 1000000)
     }
-    if (wanted("HRR")) {
-      val (h, t) = timeNanos(HrrTree.build(pts, cfg.B))
-      out += Built(h, t / 1000000)
-    }
-    if (wanted("KDB")) {
-      val (k, t) = timeNanos(KdbTree.build(pts, cfg.B))
-      out += Built(k, t / 1000000)
-    }
-    if (wanted("RR*")) {
-      val (r, t) = timeNanos(RStarTree.build(pts, cfg.B))
-      out += Built(r, t / 1000000)
-    }
-    if (wanted("RSMI") || wanted("RSMIa")) {
-      val (rsmi, t) = timeNanos(RsmiBuilder.build(pts, cfg))
-      if (wanted("RSMI")) out += Built(rsmi, t / 1000000)
-      if (wanted("RSMIa")) out += Built(new RsmiaAdapter(rsmi), t / 1000000)
-    }
-    if (wanted("ZM")) {
-      val (z, t) = timeNanos(ZmIndex.build(pts, cfg.B, epochs = zmEpochs))
-      out += Built(z, t / 1000000)
-    }
-    out.toSeq
   }
 }

@@ -145,7 +145,23 @@ class OverflowChainSpec extends AnyFunSuite {
           "knnExact"    -> (c => idx.knnQueryExact(c.x, c.y, 10))),
       idx.delete(_, _), () => idx.blockAccesses, () => idx.resetCounters())
     assert(got === Seq("point" -> 1067L, "window" -> 763L, "windowExact" -> 357L,
-                       "knn" -> 298L, "knnExact" -> 264L, "delete" -> 809L))
+                       "knn" -> 298L, "knnExact" -> 264L, "delete" -> 597L))
+  }
+
+  test("RSMI: a delete over overflow chains reads the blocks of a point query and removes what it found") {
+    val idx = RsmiBuilder.build(mixBase, RsmiConfig(B = 50, N = 1000, leafEpochs = 40, internalEpochs = 40))
+    mixExtra.foreach(idx.insert)
+    assert(idx.store.numBlocks > idx.store.originalCount)
+    (mixBase ++ mixExtra).foreach { p =>
+      idx.resetCounters()
+      val found = idx.pointQuery(p.x, p.y)
+      val queried = idx.blockAccesses
+      idx.resetCounters()
+      assert(idx.delete(p.x, p.y) === found.nonEmpty, s"delete of $p")
+      assert(idx.blockAccesses === queried, s"accesses of the delete of $p")
+      found.foreach(f => assert(idx.store.allPoints.forall(_.id != f.id), s"$f still indexed"))
+    }
+    assert(idx.cardinality === 0L)
   }
 
   test("ZM block accesses over overflow chains are pinned per query kind") {

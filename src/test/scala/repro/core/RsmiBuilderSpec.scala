@@ -96,6 +96,15 @@ class RsmiBuilderSpec extends AnyFunSuite {
     assertSameIndex(RsmiBuilder.build(pts, cfg), RsmiBuilder.build(pts, cfg), pts)
   }
 
+  test("the stats of a fixed Skewed build are pinned") {
+    val idx = RsmiBuilder.build(inputs.head._2, cfg)
+    assert(idx.height === 3)
+    assert(idx.numModels === 127)
+    assert(java.lang.Double.doubleToRawLongBits(idx.avgDepth) === 4613191909552789914L) // 2.66875
+    assert(idx.sizeBytes === 516872L)
+    assert(idx.maxErrBounds === ((9, 11)))
+  }
+
   private def poolThreads(): Set[Thread] =
     Thread.getAllStackTraces.keySet.asScala.filter(_.isInstanceOf[ForkJoinWorkerThread]).toSet
 
